@@ -51,7 +51,6 @@ class RunConfig:
     delta: float = 1.0
     alpha: float = 1.0
     tcoupling: float = 1.0
-    mu: float = 2.0
     fmt: str = "json"
     out: str | None = None
 
@@ -81,7 +80,6 @@ class RunConfig:
             delta=self.delta,
             alpha=self.alpha,
             t_junction=self.tcoupling,
-            mu=self.mu,
         )
 
     def echo(self) -> dict:
@@ -97,7 +95,6 @@ class RunConfig:
             "delta": _f(self.delta),
             "alpha": _f(self.alpha),
             "tcoupling": _f(self.tcoupling),
-            "mu": _f(self.mu),
             "format": self.fmt,
         }
 
@@ -140,8 +137,8 @@ def cmd_verify(config: RunConfig) -> tuple[dict, bool]:
 
     def add_report(tag: str, steps: int):
         nonlocal ok
-        U = simulator.braid_unitary(layout, steps)
-        report = simulator.project_braid(U, gs)
+        UG = simulator.braid_unitary(layout, steps, gs.basis)
+        report = simulator.project_braid(UG, gs)
         results[f"dphi_{tag}"] = _f(report.dphi)
         results[f"ugs_{tag}"] = _complex_matrix(report.ugs)
         results[f"unitarity_defect_{tag}"] = _f(report.unitarity_defect)
@@ -316,7 +313,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--delta", type=float, default=1.0)
         p.add_argument("--alpha", type=float, default=1.0)
         p.add_argument("--tcoupling", type=float, default=1.0)
-        p.add_argument("--mu", type=float, default=2.0)
         p.add_argument("--format", default="json", choices=["json", "csv"], dest="fmt")
         p.add_argument("--out", default=None)
     return parser
@@ -348,7 +344,6 @@ def main(argv: list[str] | None = None) -> int:
         delta=args.delta,
         alpha=args.alpha,
         tcoupling=args.tcoupling,
-        mu=args.mu,
         fmt=args.fmt,
         out=args.out,
     )

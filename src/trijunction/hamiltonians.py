@@ -66,8 +66,6 @@ class TrijunctionParams:
     delta: float = 1.0
     alpha: float = 1.0
     t_junction: float = 1.0
-    mu: float = 2.0
-    hopping: float = 1.0
 
     def __post_init__(self):
         if self.n < 1:

@@ -4,7 +4,13 @@ States are plain complex128 arrays of length 2^Q treated as values: every
 operation returns a fresh array and preserves the norm to better than 1e-12.
 Exchange unitaries and Trotter factors are single Pauli rotations and go
 through the kernels backend; dense propagators and ground spaces use full
-eigendecompositions (desk-scale, up to ``DENSE_QUBIT_LIMIT`` qubits).
+eigendecompositions (desk-scale, up to ``DENSE_QUBIT_LIMIT`` qubits), in real
+arithmetic whenever the Hamiltonian's matrix is real.
+
+A braid is projected through its action on the two ground columns: the
+exchange rotations are applied to the 2^Q x 2 ground basis G and the 2 x 2
+block G^dagger (U G) is read off.  The full 2^Q x 2^Q braid unitary is built
+only as a test oracle.
 
 Ground-space convention
 -----------------------
@@ -92,18 +98,30 @@ def apply_braid(psi: np.ndarray, layout: QubitLayout, steps: int = 6) -> np.ndar
 
 
 def braid_unitary(
-    layout: QubitLayout, steps: int = 3, dense_limit: int = DENSE_QUBIT_LIMIT
+    layout: QubitLayout,
+    steps: int = 3,
+    columns: np.ndarray | None = None,
+    dense_limit: int = DENSE_QUBIT_LIMIT,
 ) -> np.ndarray:
-    """Dense unitary of the first ``steps`` protocol steps (3 = one braid)."""
-    if layout.total_qubits > dense_limit:
-        raise ValueError(f"dense unitary limited to {dense_limit} qubits")
-    U = np.eye(1 << layout.total_qubits, dtype=np.complex128)
+    """U @ columns for the unitary U of the first ``steps`` protocol steps
+    (3 = one braid), for a (2^Q, k) block ``columns``.
+
+    Without ``columns`` the dense unitary U itself is returned; that form is
+    a test oracle and is limited to ``dense_limit`` qubits.
+    """
+    dim = 1 << layout.total_qubits
+    if columns is None:
+        if layout.total_qubits > dense_limit:
+            raise ValueError(f"dense unitary limited to {dense_limit} qubits")
+        columns = np.eye(dim, dtype=np.complex128)
+    elif columns.ndim != 2 or columns.shape[0] != dim:
+        raise ValueError(f"braid columns must have {dim} rows")
     for o in braid_exchanges(layout.n, steps):
         string, theta = exchange_rotation(o, layout)
-        U = kernels.rotate_matrix(
-            U, string.num_qubits, string.x, string.z, string.phase_exp, theta
+        columns = kernels.rotate_matrix(
+            columns, string.num_qubits, string.x, string.z, string.phase_exp, theta
         )
-    return U
+    return columns
 
 
 run_braiding = braid_unitary
@@ -145,6 +163,16 @@ def _eigenspace_slice(
     return B @ V[:, keep]
 
 
+def _dense_eigh(h: PauliSum, dense_limit: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition of the dense matrix of ``h``, in real arithmetic
+    when that matrix is real: a phase-free Pauli string is real exactly when
+    it has an even number of Y factors, and the coefficients are real."""
+    H = h.to_matrix(dense_limit)
+    if all((string.x & string.z).bit_count() % 2 == 0 for _, string in h.terms):
+        H = H.real
+    return np.linalg.eigh(H)
+
+
 def ground_space(
     h: PauliSum,
     parity: tuple[float, PauliString] | None = None,
@@ -161,7 +189,7 @@ def ground_space(
     """
     if h.num_qubits > dense_limit:
         raise ValueError(f"dense ground space limited to {dense_limit} qubits")
-    evals, evecs = np.linalg.eigh(h.to_matrix(dense_limit))
+    evals, evecs = _dense_eigh(h, dense_limit)
     cluster = evals <= evals[0] + degeneracy_atol
     B = evecs[:, cluster]
     if B.shape[1] < 2:
@@ -203,12 +231,23 @@ def prepare_initial(gs: GroundSpace, sign: int = +1) -> np.ndarray:
 
 
 def project_braid(U: np.ndarray, gs: GroundSpace) -> BraidReport:
-    """Project a full unitary onto the ground pair and extract the phases."""
-    if U.ndim != 2 or U.shape[0] != U.shape[1]:
-        raise ValueError("braid operator must be a square matrix")
-    if U.shape[0] != gs.basis.shape[0]:
-        raise ValueError("braid operator and ground space dimensions differ")
-    W = gs.basis.conj().T @ U @ gs.basis
+    """Project a braid onto the ground pair and extract the phases.
+
+    ``U`` is either the full square unitary or its (2^Q, 2) action U @ G on
+    the ground columns G, as returned by ``braid_unitary(layout, steps,
+    gs.basis)``.
+    """
+    dim = gs.basis.shape[0]
+    if U.shape == (dim, dim):
+        UG = U @ gs.basis
+    elif U.shape == gs.basis.shape:
+        UG = U
+    else:
+        raise ValueError(
+            f"braid operator of shape {U.shape} is neither the {dim}x{dim} "
+            f"unitary nor its action on the {gs.basis.shape[1]} ground columns"
+        )
+    W = gs.basis.conj().T @ UG
     lam = np.linalg.eigvals(W)
     dphi = float(abs(np.angle(lam[1] * np.conj(lam[0]))))
     defect = float(np.linalg.norm(W.conj().T @ W - np.eye(2), 2))
@@ -219,7 +258,7 @@ def evolve_exact(
     psi: np.ndarray, h: PauliSum, t: float, dense_limit: int = DENSE_QUBIT_LIMIT
 ) -> np.ndarray:
     """exp(-i*H*t)|psi> through a dense eigendecomposition."""
-    evals, evecs = np.linalg.eigh(h.to_matrix(dense_limit))
+    evals, evecs = _dense_eigh(h, dense_limit)
     return evecs @ (np.exp(-1j * evals * t) * (evecs.conj().T @ psi))
 
 

@@ -109,6 +109,14 @@ def test_unknown_flag_exits_two(capsys):
     assert run(capsys, "verify", "--bogus")[0] == 2
 
 
+def test_removed_mu_flag_exits_two(capsys):
+    # The trijunction Hamiltonian has no chemical-potential term, so the
+    # flag is rejected rather than silently ignored.
+    code, _, err = run(capsys, "verify", "--sites", "1", "--mu", "99")
+    assert code == 2
+    assert "--mu" in err
+
+
 def test_bad_steps_exits_two(capsys):
     assert run(capsys, "verify", "--sites", "1", "--steps", "7")[0] == 2
 

@@ -86,7 +86,10 @@ def test_matrix_rotation_matches_columnwise_state_rotation():
 
 
 def test_env_flag_selects_numpy_backend():
-    env = dict(os.environ, TRIJUNCTION_NUMBA="0")
+    # The child interpreter must find the package the tests imported.
+    src = os.path.dirname(os.path.dirname(kernels.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, TRIJUNCTION_NUMBA="0", PYTHONPATH=path)
     out = subprocess.run(
         [sys.executable, "-c",
          "from trijunction import kernels; print(kernels.active_backend())"],

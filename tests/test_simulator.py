@@ -13,6 +13,7 @@ from trijunction.mappings import (
     map_hamiltonian,
     map_monomial,
 )
+from trijunction import simulator
 from trijunction.pauli import PauliString, PauliSum, to_matrix
 from trijunction.simulator import (
     apply_braid,
@@ -183,6 +184,61 @@ def test_project_braid_dimension_checks():
         project_braid(np.eye(8, dtype=complex), gs)
     with pytest.raises(ValueError):
         project_braid(np.ones((4, 3), dtype=complex), gs)
+
+
+@pytest.mark.parametrize("kind", ["coupler", "continuous"])
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("steps", [3, 6])
+def test_braid_on_ground_columns_matches_dense_oracle(kind, n, steps):
+    layout = layout_for(kind, n)
+    gs = trijunction_ground_space(CONFIG_12, TrijunctionParams(n=n), layout)
+    U = braid_unitary(layout, steps)
+    UG = braid_unitary(layout, steps, gs.basis)
+    assert UG.shape == gs.basis.shape
+    np.testing.assert_allclose(UG, U @ gs.basis, rtol=0, atol=1e-12)
+    block = project_braid(UG, gs)
+    full = project_braid(U, gs)
+    np.testing.assert_allclose(block.ugs, full.ugs, rtol=0, atol=1e-12)
+    assert block.dphi == pytest.approx(full.dphi, abs=1e-12)
+    assert block.unitarity_defect == pytest.approx(full.unitarity_defect, abs=1e-12)
+
+
+def test_braid_columns_must_match_the_register():
+    layout = coupler_layout(1)
+    with pytest.raises(ValueError):
+        braid_unitary(layout, 3, np.eye(8, 2, dtype=complex))
+    with pytest.raises(ValueError):
+        braid_unitary(layout, 3, np.ones(16, dtype=complex))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("scale", [0.5, 2.0])
+def test_real_eigh_ground_space_matches_complex(monkeypatch, n, scale):
+    layout = coupler_layout(n)
+    params = TrijunctionParams(n=n, delta=scale, alpha=scale, t_junction=scale)
+    h = map_hamiltonian(trijunction_h(CONFIG_12, params), layout)
+    assert simulator._dense_eigh(h, 14)[1].dtype == np.float64
+    real = trijunction_ground_space(CONFIG_12, params, layout)
+    monkeypatch.setattr(
+        simulator, "_dense_eigh", lambda h, limit: np.linalg.eigh(h.to_matrix(limit))
+    )
+    ref = trijunction_ground_space(CONFIG_12, params, layout)
+    np.testing.assert_allclose(real.basis, ref.basis, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(real.energies, ref.energies, rtol=0, atol=1e-10)
+
+
+def test_odd_y_hamiltonian_keeps_complex_eigh():
+    layout = continuous_layout(3)
+    h = map_hamiltonian(trijunction_h(CONFIG_12, TrijunctionParams(n=3)), layout)
+    assert simulator._dense_eigh(h, 14)[1].dtype == np.complex128
+
+
+def test_project_braid_rejects_other_shapes():
+    layout = coupler_layout(1)
+    gs = trijunction_ground_space(CONFIG_12, TrijunctionParams(n=1), layout)
+    for shape in [(16, 1), (16, 3), (8, 2), (2, 16), (16, 16, 1)]:
+        with pytest.raises(ValueError):
+            project_braid(np.ones(shape, dtype=complex), gs)
 
 
 @pytest.mark.parametrize("n,tol", [(1, 1e-9), (2, 1e-8), (3, 1e-6)])
