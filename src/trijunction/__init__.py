@@ -37,7 +37,7 @@ from .mappings import (
     map_majorana,
     map_monomial,
 )
-from .pauli import PauliString, PauliSum, commutes, multiply, sum_to_matrix, to_matrix
+from .pauli import PauliString, PauliSum, commutes, multiply, to_matrix
 from .simulator import (
     BraidReport,
     GroundSpace,
@@ -50,7 +50,6 @@ from .simulator import (
     prepare_initial,
     project_braid,
     run_adiabatic,
-    run_braiding,
     trijunction_ground_space,
     trotter_adiabatic,
 )

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import compiler, simulator
-from .hamiltonians import Configuration, TrijunctionParams, trijunction_h
+from .hamiltonians import Configuration, TrijunctionParams, schedule, trijunction_h
 from .majorana import build_sub_operators, conjugate_hamiltonian, protocol_steps
 from .mappings import layout_for
 
@@ -63,8 +63,22 @@ class RunConfig:
             raise ConfigError("--mapping both is only valid for resources")
         if self.method not in ("braiding", "adiabatic", "both"):
             raise ConfigError(f"unknown method {self.method!r}")
+        gaps = {
+            "--delta": self.delta,
+            "--alpha": self.alpha,
+            "--tcoupling": self.tcoupling,
+        }
+        for flag, value in {"--tau": self.tau, **gaps}.items():
+            if not math.isfinite(value):
+                raise ConfigError(f"{flag} must be finite, got {value}")
         if self.tau <= 0:
             raise ConfigError(f"--tau must be positive, got {self.tau}")
+        for flag, value in gaps.items():
+            if value == 0:
+                raise ConfigError(
+                    f"{flag} must be nonzero: a zero coupling leaves extra "
+                    "zero modes, so the ground pair is not unique"
+                )
         if self.trotter_steps < 1:
             raise ConfigError(f"--trotter-steps must be >= 1, got {self.trotter_steps}")
         if self.reps < 1:
@@ -116,11 +130,10 @@ def _conjugation_cycle(n: int) -> list[dict]:
     """Symbolic check that each step maps its configuration Hamiltonian to
     the next one exactly."""
     params = TrijunctionParams(n=n)
-    cycle = (Configuration(1, 2), Configuration(1, 3), Configuration(2, 3))
     rows = []
-    for k, step in enumerate(protocol_steps()):
-        h_from = trijunction_h(cycle[k % 3], params)
-        h_to = trijunction_h(cycle[(k + 1) % 3], params)
+    for k, (step, (c_from, c_to)) in enumerate(zip(protocol_steps(), schedule())):
+        h_from = trijunction_h(c_from, params)
+        h_to = trijunction_h(c_to, params)
         got = conjugate_hamiltonian(h_from, build_sub_operators(step, n))
         rows.append({"step": k + 1, "ok": got == h_to})
     return rows

@@ -129,6 +129,8 @@ def compile_adiabatic(
     Term order inside each slice matches the simulator's fixed PauliSum order,
     with rotation angle coeff * (tau/S) / r repeated r times.
     """
+    if tau <= 0:
+        raise ValueError(f"step duration must be positive, got {tau}")
     if substeps < 1:
         raise ValueError(f"substeps must be >= 1, got {substeps}")
     if reps < 1:
@@ -141,7 +143,7 @@ def compile_adiabatic(
             mapped[config] = map_hamiltonian(trijunction_h(config, params), layout)
         return mapped[config]
 
-    for config_init, config_final in schedule(params, tau):
+    for config_init, config_final in schedule():
         h_i, h_f = h_of(config_init), h_of(config_final)
         for s in range(1, substeps + 1):
             lam = s / substeps

@@ -126,15 +126,11 @@ PROTOCOL_CONFIGS = (
 )
 
 
-def schedule(
-    params: TrijunctionParams, tau: float
-) -> tuple[tuple[Configuration, Configuration], ...]:
-    """Six (initial, final) configuration pairs; total braid time is 6*tau."""
-    if tau <= 0:
-        raise ValueError(f"step duration must be positive, got {tau}")
+def schedule() -> tuple[tuple[Configuration, Configuration], ...]:
+    """Six (initial, final) configuration pairs, one per protocol step; a
+    transition of duration tau per pair gives a total braid time of 6*tau."""
     cycle = PROTOCOL_CONFIGS
-    pairs = tuple((cycle[k % 3], cycle[(k + 1) % 3]) for k in range(6))
-    return pairs
+    return tuple((cycle[k % 3], cycle[(k + 1) % 3]) for k in range(6))
 
 
 def zero_mode_pair(config: Configuration, n: int) -> MajoranaMonomial:

@@ -1,27 +1,21 @@
-"""State-vector kernels: apply a Pauli-string rotation exp(-i*theta*P) in one pass.
+"""State-vector kernel: apply a Pauli-string rotation exp(-i*theta*P) in one pass.
 
 Every Pauli string P (phase exponent e, X-mask x, Z-mask z over Q qubits) acts on
 a computational basis state as a permutation plus phase,
 
-    P |i> = w(i) |i XOR x>,   w(i) = i**(e + popcount(x & z)) * (-1)**parity(i & z),
+    P |i> = w(i) |i XOR x>,   w(i) = i**(e + popcount(x & z)) * (-1)**popcount(i & z),
 
-so exp(-i*theta*P) touches each amplitude pair (i, i^x) exactly once.  This is the
-hot inner loop of the simulator (exchange rotations and Trotter steps live here).
-
-Two backends implement the same kernel:
-
-* a numba ``@njit`` version, used when numba imports cleanly and the environment
-  variable ``TRIJUNCTION_NUMBA`` is not set to ``"0"``;
-* a pure-numpy fallback (vectorised gather), always available.
-
-``active_backend()`` reports which one is dispatched.  Basis convention: bit b of
-the index is qubit b, kets are written |q_{Q-1} ... q_1 q_0>.
+so row i of P @ M is w(i ^ x) * M[i ^ x] for any M whose rows are indexed by
+basis states, and exp(-i*theta*P) @ M = cos(theta) M - i sin(theta) P @ M.  One
+vectorised numpy gather does this for a state vector and for a (2^Q, k) block of
+columns alike.  This is the hot inner loop of the simulator (exchange rotations
+and Trotter steps live here).  Basis convention: bit b of the index is qubit b,
+kets are written |q_{Q-1} ... q_1 q_0>.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
@@ -31,122 +25,55 @@ __all__ = [
     "apply_string_to_matrix",
     "pauli_action_phases",
     "rotate_matrix",
-    "rotate_state_numpy",
 ]
 
 _I_POWERS = np.array([1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j])
 
 
-def _parity_fold(v: np.ndarray) -> np.ndarray:
-    """Bitwise parity (popcount mod 2) of each entry of a uint64 array."""
-    v = v.copy()
-    for shift in (32, 16, 8, 4, 2, 1):
-        v ^= v >> np.uint64(shift)
-    return (v & np.uint64(1)).astype(np.int64)
-
-
 def pauli_action_phases(num_qubits: int, x: int, z: int, phase_exp: int) -> np.ndarray:
     """Return w with P|i> = w[i] |i ^ x> for the string (num_qubits, x, z, phase_exp)."""
-    dim = 1 << num_qubits
-    idx = np.arange(dim, dtype=np.uint64)
-    par = _parity_fold(idx & np.uint64(z))
+    idx = np.arange(1 << num_qubits, dtype=np.uint64)
+    par = np.bitwise_count(idx & np.uint64(z)) & 1
     e = (phase_exp + (x & z).bit_count()) & 3
     return _I_POWERS[e] * (1.0 - 2.0 * par)
 
 
-def rotate_state_numpy(
-    psi: np.ndarray, num_qubits: int, x: int, z: int, phase_exp: int, theta: float
+def apply_string_to_matrix(
+    M: np.ndarray, num_qubits: int, x: int, z: int, phase_exp: int
 ) -> np.ndarray:
-    """exp(-i*theta*P) |psi> using vectorised numpy gathers."""
+    """P @ M for a state vector or a (2^Q, k) block M whose rows are indexed
+    like basis states."""
     w = pauli_action_phases(num_qubits, x, z, phase_exp)
-    perm = np.arange(psi.shape[0]) ^ x
-    return math.cos(theta) * psi - 1j * math.sin(theta) * (w[perm] * psi[perm])
+    perm = np.arange(M.shape[0]) ^ x
+    return w[perm].reshape(perm.shape + (1,) * (M.ndim - 1)) * M[perm]
 
 
-_HAVE_NUMBA = False
-if os.environ.get("TRIJUNCTION_NUMBA", "1") != "0":
-    try:
-        from numba import njit
-
-        _HAVE_NUMBA = True
-    except ImportError:  # pragma: no cover - exercised via the env flag instead
-        _HAVE_NUMBA = False
-
-if _HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _rotate_state_numba(psi, xmask, zmask, wre, wim, c, s):  # pragma: no cover
-        # In-place pairwise update; each (j, j^x) pair is visited once.
-        n = psi.shape[0]
-        w0 = complex(wre, wim)
-        for j in range(n):
-            k = j ^ xmask
-            if k < j:
-                continue
-            v = j & zmask
-            v ^= v >> 16
-            v ^= v >> 8
-            v ^= v >> 4
-            v ^= v >> 2
-            v ^= v >> 1
-            wj = -w0 if (v & 1) else w0
-            if k == j:
-                psi[j] = (c - 1j * s * wj) * psi[j]
-            else:
-                u = k & zmask
-                u ^= u >> 16
-                u ^= u >> 8
-                u ^= u >> 4
-                u ^= u >> 2
-                u ^= u >> 1
-                wk = -w0 if (u & 1) else w0
-                a = psi[j]
-                b = psi[k]
-                psi[k] = c * b - 1j * s * wj * a
-                psi[j] = c * a - 1j * s * wk * b
-        return psi
-
-    def _apply_rotation_numba(psi, num_qubits, x, z, phase_exp, theta):
-        e = (phase_exp + (x & z).bit_count()) & 3
-        w0 = _I_POWERS[e]
-        out = np.array(psi, dtype=np.complex128, copy=True)
-        _rotate_state_numba(
-            out, x, z, w0.real, w0.imag, math.cos(theta), math.sin(theta)
-        )
-        return out
+def _rotate(
+    M: np.ndarray, num_qubits: int, x: int, z: int, phase_exp: int, theta: float
+) -> np.ndarray:
+    """exp(-i*theta*P) @ M for a state vector or a (2^Q, k) block M."""
+    if M.shape[0] != (1 << num_qubits):
+        raise ValueError(f"{M.shape[0]} rows do not match {num_qubits} qubits")
+    PM = apply_string_to_matrix(M, num_qubits, x, z, phase_exp)
+    return math.cos(theta) * M - 1j * math.sin(theta) * PM
 
 
 def active_backend() -> str:
-    """Name of the kernel backend selected at import time."""
-    return "numba" if _HAVE_NUMBA else "numpy"
+    """Name of the kernel implementation; there is one, in numpy."""
+    return "numpy"
 
 
 def apply_rotation(
     psi: np.ndarray, num_qubits: int, x: int, z: int, phase_exp: int, theta: float
 ) -> np.ndarray:
     """Return exp(-i*theta*P) |psi> as a new complex128 array."""
-    if psi.shape[0] != (1 << num_qubits):
-        raise ValueError("state dimension does not match qubit count")
-    if _HAVE_NUMBA:
-        return _apply_rotation_numba(psi, num_qubits, x, z, phase_exp, theta)
-    return rotate_state_numpy(
+    return _rotate(
         np.asarray(psi, dtype=np.complex128), num_qubits, x, z, phase_exp, theta
     )
-
-
-def apply_string_to_matrix(
-    M: np.ndarray, num_qubits: int, x: int, z: int, phase_exp: int
-) -> np.ndarray:
-    """P @ M for a dense matrix M whose rows are indexed like basis states."""
-    w = pauli_action_phases(num_qubits, x, z, phase_exp)
-    perm = np.arange(M.shape[0]) ^ x
-    return w[perm, None] * M[perm, :]
 
 
 def rotate_matrix(
     M: np.ndarray, num_qubits: int, x: int, z: int, phase_exp: int, theta: float
 ) -> np.ndarray:
-    """exp(-i*theta*P) @ M, row-permutation form (numpy path; columns vectorise)."""
-    w = pauli_action_phases(num_qubits, x, z, phase_exp)
-    perm = np.arange(M.shape[0]) ^ x
-    return math.cos(theta) * M - 1j * math.sin(theta) * (w[perm, None] * M[perm, :])
+    """exp(-i*theta*P) @ M for a (2^Q, k) block M."""
+    return _rotate(M, num_qubits, x, z, phase_exp, theta)

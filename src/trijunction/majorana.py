@@ -9,9 +9,9 @@ the canonical (arm, site, x<y) order, flipping the sign once per transposition
 The exchange operator for a mode pair (k, l) is (1 + g_k g_l)/sqrt(2); its
 conjugation action sends g_k -> -g_l and g_l -> g_k and fixes every other
 mode.  Six braid steps, each a donor-arm sweep, a junction swap and a host-arm
-sweep, move the two unpaired modes around the trijunction; ``exchange_list``
-returns each step's exchanges in application order (first element acts first,
-both on states and in conjugation chains).
+sweep, move the two unpaired modes around the trijunction;
+``build_sub_operators`` returns each step's exchanges in application order
+(first element acts first, both on states and in conjugation chains).
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ __all__ = [
     "build_sub_operators",
     "conjugate_hamiltonian",
     "conjugate_monomial",
-    "exchange_list",
     "normalize",
     "protocol_steps",
 ]
@@ -191,9 +190,6 @@ def build_sub_operators(step: BraidStep, n: int) -> tuple[ExchangeOperator, ...]
     for j in range(n - 1):
         ops.append(ExchangeOperator(_mode(a, j + 1, "y"), _mode(a, j, "y")))
     return tuple(ops)
-
-
-exchange_list = build_sub_operators
 
 
 def protocol_steps() -> tuple[BraidStep, ...]:

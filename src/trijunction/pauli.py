@@ -32,7 +32,6 @@ __all__ = [
     "PauliSum",
     "commutes",
     "multiply",
-    "sum_to_matrix",
     "to_matrix",
 ]
 
@@ -239,7 +238,3 @@ class PauliSum:
     def __repr__(self) -> str:
         body = " ".join(f"{c:+g}*{s.label()}" for c, s in self.terms)
         return f"PauliSum({body})" if body else "PauliSum(0)"
-
-
-def sum_to_matrix(h: PauliSum, dense_limit: int = DENSE_QUBIT_LIMIT) -> np.ndarray:
-    return h.to_matrix(dense_limit)

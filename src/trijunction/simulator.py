@@ -3,7 +3,7 @@
 States are plain complex128 arrays of length 2^Q treated as values: every
 operation returns a fresh array and preserves the norm to better than 1e-12.
 Exchange unitaries and Trotter factors are single Pauli rotations and go
-through the kernels backend; dense propagators and ground spaces use full
+through the numpy rotation kernel; dense propagators and ground spaces use full
 eigendecompositions (desk-scale, up to ``DENSE_QUBIT_LIMIT`` qubits), in real
 arithmetic whenever the Hamiltonian's matrix is real.
 
@@ -56,7 +56,6 @@ __all__ = [
     "prepare_initial",
     "project_braid",
     "run_adiabatic",
-    "run_braiding",
     "trijunction_ground_space",
     "trotter_adiabatic",
     "trotter_step",
@@ -122,9 +121,6 @@ def braid_unitary(
             columns, string.num_qubits, string.x, string.z, string.phase_exp, theta
         )
     return columns
-
-
-run_braiding = braid_unitary
 
 
 @dataclass(frozen=True)
@@ -282,6 +278,8 @@ def trotter_adiabatic(
 ) -> np.ndarray:
     """One protocol transition: S piecewise-constant slices of the linear
     interpolation, each Trotterised for duration tau/S."""
+    if tau <= 0:
+        raise ValueError(f"step duration must be positive, got {tau}")
     if substeps < 1:
         raise ValueError(f"substeps must be >= 1, got {substeps}")
     for s in range(1, substeps + 1):
@@ -309,7 +307,7 @@ def run_adiabatic(
         return mapped[config]
 
     psi = prepare_initial(gs, +1)
-    for config_init, config_final in schedule(params, tau):
+    for config_init, config_final in schedule():
         psi = trotter_adiabatic(
             psi, h_of(config_init), h_of(config_final), tau, substeps, reps
         )

@@ -125,6 +125,31 @@ def test_bad_tau_exits_two(capsys):
     assert run(capsys, "adiabatic", "--sites", "1", "--tau", "0")[0] == 2
 
 
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        ("adiabatic", "--tau", "nan"),
+        ("adiabatic", "--tau", "inf"),
+        ("verify", "--delta", "nan"),
+        ("verify", "--alpha", "inf"),
+        ("verify", "--tcoupling", "-inf"),
+    ],
+)
+def test_non_finite_flag_exits_two(capsys, command, flag, value):
+    code, out, err = run(capsys, command, "--sites", "1", f"{flag}={value}")
+    assert code == 2
+    assert out == ""
+    assert f"{flag} must be finite" in err
+
+
+@pytest.mark.parametrize("flag", ["--delta", "--alpha", "--tcoupling"])
+def test_zero_coupling_exits_two(capsys, flag):
+    code, out, err = run(capsys, "verify", "--sites", "1", flag, "0")
+    assert code == 2
+    assert out == ""
+    assert f"{flag} must be nonzero" in err
+
+
 def test_mapping_both_rejected_outside_resources(capsys):
     assert run(capsys, "braid", "--sites", "1", "--mapping", "both")[0] == 2
 

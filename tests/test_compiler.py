@@ -156,7 +156,7 @@ def test_adiabatic_count_matches_closed_form():
     h_cache = {}
     from trijunction.hamiltonians import schedule
 
-    for ci, cf in schedule(params, 1.0):
+    for ci, cf in schedule():
         for cfg in (ci, cf):
             if cfg not in h_cache:
                 h_cache[cfg] = map_hamiltonian(trijunction_h(cfg, params), layout)
@@ -189,7 +189,7 @@ def test_adiabatic_circuit_matches_trotterized_state_path():
     from trijunction.hamiltonians import schedule
 
     expected = psi
-    for ci, cf in schedule(params, tau):
+    for ci, cf in schedule():
         expected = trotter_adiabatic(
             expected,
             map_hamiltonian(trijunction_h(ci, params), layout),

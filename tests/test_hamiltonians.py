@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from trijunction.compiler import compile_adiabatic
 from trijunction.hamiltonians import (
     Configuration,
     TrijunctionParams,
@@ -14,6 +15,7 @@ from trijunction.hamiltonians import (
 )
 from trijunction.majorana import MajoranaIndex
 from trijunction.mappings import continuous_layout, coupler_layout, map_hamiltonian
+from trijunction.simulator import basis_state, trotter_adiabatic
 
 
 def g(arm, site, orientation):
@@ -94,7 +96,7 @@ def test_trijunction_single_site_has_no_hopping():
 
 
 def test_schedule_pairs_and_closure():
-    pairs = schedule(TrijunctionParams(n=2), tau=1.0)
+    pairs = schedule()
     assert len(pairs) == 6
     assert pairs[0] == (Configuration(1, 2), Configuration(1, 3))
     assert pairs[1] == (Configuration(1, 3), Configuration(2, 3))
@@ -106,8 +108,16 @@ def test_schedule_pairs_and_closure():
 
 
 def test_schedule_rejects_bad_tau():
-    with pytest.raises(ValueError):
-        schedule(TrijunctionParams(n=1), tau=0.0)
+    """Both consumers of the schedule reject a non-positive step duration."""
+    params = TrijunctionParams(n=1)
+    layout = continuous_layout(1)
+    h = map_hamiltonian(trijunction_h(Configuration(1, 2), params), layout)
+    psi = basis_state(layout.total_qubits)
+    for tau in (0.0, -1.0):
+        with pytest.raises(ValueError, match="step duration"):
+            trotter_adiabatic(psi, h, h, tau, 1)
+        with pytest.raises(ValueError, match="step duration"):
+            compile_adiabatic(layout, params, tau, 1)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

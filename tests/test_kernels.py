@@ -1,10 +1,7 @@
-"""Rotation kernel: backend agreement, unitarity, and the eigen-oracle."""
-
-import os
-import subprocess
-import sys
+"""Rotation kernel: unitarity, state/block agreement, and the eigen-oracle."""
 
 import numpy as np
+import pytest
 
 from trijunction import kernels
 from trijunction.pauli import PauliString, to_matrix
@@ -20,18 +17,6 @@ def expm_oracle(H, t):
     """exp(-i*H*t) through an eigendecomposition (independent of the kernel)."""
     evals, evecs = np.linalg.eigh(H)
     return (evecs * np.exp(-1j * evals * t)) @ evecs.conj().T
-
-
-def test_backends_agree():
-    rng = np.random.default_rng(11)
-    for num_qubits in (1, 3, 6, 10):
-        psi = random_state(rng, num_qubits)
-        x = int(rng.integers(0, 1 << num_qubits))
-        z = int(rng.integers(0, 1 << num_qubits))
-        theta = float(rng.uniform(-3, 3))
-        fast = kernels.apply_rotation(psi, num_qubits, x, z, 0, theta)
-        slow = kernels.rotate_state_numpy(psi, num_qubits, x, z, 0, theta)
-        np.testing.assert_allclose(fast, slow, atol=1e-13)
 
 
 def test_rotation_matches_eigen_oracle():
@@ -80,19 +65,13 @@ def test_matrix_rotation_matches_columnwise_state_rotation():
     for col in (0, 7, dim - 1):
         np.testing.assert_allclose(
             rotated[:, col],
-            kernels.rotate_state_numpy(M[:, col], num_qubits, x, z, 0, theta),
+            kernels.apply_rotation(M[:, col], num_qubits, x, z, 0, theta),
             atol=1e-12,
         )
 
 
-def test_env_flag_selects_numpy_backend():
-    # The child interpreter must find the package the tests imported.
-    src = os.path.dirname(os.path.dirname(kernels.__file__))
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    env = dict(os.environ, TRIJUNCTION_NUMBA="0", PYTHONPATH=path)
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "from trijunction import kernels; print(kernels.active_backend())"],
-        env=env, capture_output=True, text=True, check=True,
-    )
-    assert out.stdout.strip() == "numpy"
+@pytest.mark.parametrize("rows", [8, 32])
+def test_matrix_rotation_rejects_wrong_row_count(rows):
+    M = np.zeros((rows, 2), dtype=np.complex128)
+    with pytest.raises(ValueError, match="rows do not match"):
+        kernels.rotate_matrix(M, 4, 9, 3, 0, 0.31)

@@ -9,7 +9,6 @@ from trijunction.pauli import (
     PauliSum,
     commutes,
     multiply,
-    sum_to_matrix,
     to_matrix,
 )
 
@@ -143,9 +142,9 @@ def test_hermitian_square_is_identity_up_to_phase():
 
 def test_pauli_sum_empty_and_single():
     empty = PauliSum(2)
-    np.testing.assert_allclose(sum_to_matrix(empty), np.zeros((4, 4)))
+    np.testing.assert_allclose(empty.to_matrix(), np.zeros((4, 4)))
     z = PauliSum(1, [(1.0, PauliString.from_label("Z"))])
-    np.testing.assert_allclose(sum_to_matrix(z), np.diag([1.0, -1.0]))
+    np.testing.assert_allclose(z.to_matrix(), np.diag([1.0, -1.0]))
 
 
 def test_pauli_sum_merges_and_prunes():
@@ -177,7 +176,7 @@ def test_pauli_sum_matrix_is_hermitian():
     pairs = [
         (float(rng.normal()), random_string(rng, 3).drop_phase()) for _ in range(10)
     ]
-    H = sum_to_matrix(PauliSum(3, pairs))
+    H = PauliSum(3, pairs).to_matrix()
     np.testing.assert_allclose(H, H.conj().T, atol=1e-14)
 
 
@@ -188,7 +187,7 @@ def test_pauli_sum_scalar_and_addition():
     b = PauliSum(2, [(2.0, x)])
     combo = 0.25 * a + b * 0.5
     np.testing.assert_allclose(
-        sum_to_matrix(combo), 0.25 * to_matrix(z) + 1.0 * to_matrix(x)
+        combo.to_matrix(), 0.25 * to_matrix(z) + 1.0 * to_matrix(x)
     )
 
 
