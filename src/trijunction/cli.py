@@ -59,8 +59,6 @@ class RunConfig:
             raise ConfigError(f"--sites must be >= 1, got {self.sites}")
         if self.mapping not in ("coupler", "continuous", "both"):
             raise ConfigError(f"unknown mapping {self.mapping!r}")
-        if self.mapping == "both" and self.command != "resources":
-            raise ConfigError("--mapping both is only valid for resources")
         if self.method not in ("braiding", "adiabatic", "both"):
             raise ConfigError(f"unknown method {self.method!r}")
         gaps = {
@@ -296,6 +294,8 @@ def _emit(config: RunConfig, payload, wall_time: float):
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    """Each command registers only the flags it reads, so any other flag exits
+    2.  Defaults live in ``RunConfig``; only ``resources`` overrides two."""
     parser = argparse.ArgumentParser(
         prog="trijunction",
         description="Trijunction braid emulation: verification, state "
@@ -309,25 +309,26 @@ def _build_parser() -> argparse.ArgumentParser:
         "resources": "two-qubit count / depth sweep over sizes (n = 1..sites)",
     }
     for name, help_text in specs.items():
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--sites", type=int, default=4 if name == "resources" else 1)
-        p.add_argument(
-            "--mapping",
-            default="both" if name == "resources" else "coupler",
-            choices=["coupler", "continuous", "both"],
-        )
-        p.add_argument(
-            "--method", default="both", choices=["braiding", "adiabatic", "both"]
-        )
-        p.add_argument("--tau", type=float, default=1.0)
-        p.add_argument("--trotter-steps", type=int, default=10, dest="trotter_steps")
-        p.add_argument("--reps", type=int, default=1)
-        p.add_argument("--steps", type=int, default=None)
-        p.add_argument("--delta", type=float, default=1.0)
-        p.add_argument("--alpha", type=float, default=1.0)
-        p.add_argument("--tcoupling", type=float, default=1.0)
-        p.add_argument("--format", default="json", choices=["json", "csv"], dest="fmt")
-        p.add_argument("--out", default=None)
+        p = sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
+        if name == "resources":
+            p.add_argument("--sites", type=int, default=4)
+            p.add_argument(
+                "--mapping", default="both", choices=["coupler", "continuous", "both"]
+            )
+            p.add_argument("--method", choices=["braiding", "adiabatic", "both"])
+        else:
+            p.add_argument("--sites", type=int)
+            p.add_argument("--mapping", choices=["coupler", "continuous"])
+            for flag in ("--delta", "--alpha", "--tcoupling"):
+                p.add_argument(flag, type=float)
+        if name in ("verify", "braid"):
+            p.add_argument("--steps", type=int)
+        else:
+            p.add_argument("--tau", type=float)
+            p.add_argument("--trotter-steps", type=int)
+            p.add_argument("--reps", type=int)
+        p.add_argument("--format", choices=["json", "csv"], dest="fmt")
+        p.add_argument("--out")
     return parser
 
 
@@ -345,21 +346,7 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    config = RunConfig(
-        command=args.command,
-        sites=args.sites,
-        mapping=args.mapping,
-        method=args.method,
-        tau=args.tau,
-        trotter_steps=args.trotter_steps,
-        reps=args.reps,
-        steps=args.steps,
-        delta=args.delta,
-        alpha=args.alpha,
-        tcoupling=args.tcoupling,
-        fmt=args.fmt,
-        out=args.out,
-    )
+    config = RunConfig(**vars(args))
     try:
         config.validate()
     except ConfigError as exc:

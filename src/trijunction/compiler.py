@@ -20,10 +20,11 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .hamiltonians import Configuration, TrijunctionParams, schedule, trijunction_h
+from .hamiltonians import PROTOCOL_CONFIGS, TrijunctionParams, schedule, trijunction_h
+from .hamiltonians import trotter_rotations, trotter_slices
 from .majorana import build_sub_operators, protocol_steps
 from .mappings import QubitLayout, exchange_rotation, layout_for, map_hamiltonian
-from .pauli import PauliString, PauliSum
+from .pauli import PauliString
 
 __all__ = [
     "Circuit",
@@ -124,37 +125,19 @@ def compile_adiabatic(
     substeps: int,
     reps: int = 1,
 ) -> Circuit:
-    """Trotterised interpolation circuit over all six transitions.
-
-    Term order inside each slice matches the simulator's fixed PauliSum order,
-    with rotation angle coeff * (tau/S) / r repeated r times.
-    """
-    if tau <= 0:
-        raise ValueError(f"step duration must be positive, got {tau}")
-    if substeps < 1:
-        raise ValueError(f"substeps must be >= 1, got {substeps}")
-    if reps < 1:
-        raise ValueError(f"repetitions must be >= 1, got {reps}")
+    """Trotterised interpolation circuit over all six transitions: the
+    rotations of ``hamiltonians.trotter_rotations`` for every slice of
+    ``hamiltonians.trotter_slices``, the sequence the simulator applies."""
     circuit = Circuit(layout.total_qubits)
-    mapped: dict[Configuration, PauliSum] = {}
-
-    def h_of(config: Configuration) -> PauliSum:
-        if config not in mapped:
-            mapped[config] = map_hamiltonian(trijunction_h(config, params), layout)
-        return mapped[config]
-
-    for config_init, config_final in schedule():
-        h_i, h_f = h_of(config_init), h_of(config_final)
-        for s in range(1, substeps + 1):
-            lam = s / substeps
-            h_s = (1.0 - lam) * h_i + lam * h_f
-            for _ in range(reps):
-                for coeff, string in h_s.terms:
-                    gates, phase = compile_rotation(
-                        string, coeff * tau / (substeps * reps)
-                    )
-                    circuit.append(gates)
-                    circuit.global_phase += phase
+    mapped = {
+        c: map_hamiltonian(trijunction_h(c, params), layout) for c in PROTOCOL_CONFIGS
+    }
+    for ci, cf in schedule():
+        for h_s, dt in trotter_slices(mapped[ci], mapped[cf], tau, substeps):
+            for string, angle in trotter_rotations(h_s, dt, reps):
+                gates, phase = compile_rotation(string, angle)
+                circuit.append(gates)
+                circuit.global_phase += phase
         circuit.mark_step()
     return circuit
 
@@ -240,10 +223,10 @@ def _gate_matrix(gate: Gate, num_qubits: int) -> np.ndarray:
     return full
 
 
-def circuit_unitary(circuit: Circuit, dense_limit: int = 10) -> np.ndarray:
+def circuit_unitary(circuit: Circuit) -> np.ndarray:
     """Dense matrix of the circuit including its recorded global phase."""
-    if circuit.num_qubits > dense_limit:
-        raise ValueError(f"dense circuit evaluation limited to {dense_limit} qubits")
+    if circuit.num_qubits > 10:
+        raise ValueError("dense circuit evaluation limited to 10 qubits")
     U = np.eye(1 << circuit.num_qubits, dtype=np.complex128)
     for gate in circuit.gates:
         U = _gate_matrix(gate, circuit.num_qubits) @ U

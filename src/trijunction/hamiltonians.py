@@ -1,5 +1,5 @@
 """Kitaev-chain and trijunction Hamiltonians in Majorana form, plus the
-six-transition protocol schedule.
+six-transition protocol schedule and its Trotter slicing.
 
 A trijunction configuration is the ordered pair (a, b) of topological arms;
 the remaining arm c is trivial.  With x/y modes per site the Hamiltonian is
@@ -11,14 +11,18 @@ the remaining arm c is trivial.  With x/y modes per site the Hamiltonian is
 with eps the fully antisymmetric symbol, eps_123 = +1.  Default parameters
 put alpha = Delta = t_ab = 1 (and mu = 2*alpha for the standalone chain),
 where every paired mode is gapped at unit energy and the two unpaired
-y-modes at the far ends of arms a and b are exact zero modes.
+y-modes at the far ends of arms a and b are exact zero modes.  The simulator
+and the compiler read one Trotter sequence, from ``trotter_slices`` and
+``trotter_rotations``: the state they evolve is the circuit they count.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from .majorana import MajoranaHamiltonian, MajoranaIndex, MajoranaMonomial
+from .pauli import PauliString, PauliSum
 
 __all__ = [
     "Configuration",
@@ -28,6 +32,8 @@ __all__ = [
     "levi_civita",
     "schedule",
     "trijunction_h",
+    "trotter_rotations",
+    "trotter_slices",
     "zero_mode_pair",
 ]
 
@@ -131,6 +137,31 @@ def schedule() -> tuple[tuple[Configuration, Configuration], ...]:
     transition of duration tau per pair gives a total braid time of 6*tau."""
     cycle = PROTOCOL_CONFIGS
     return tuple((cycle[k % 3], cycle[(k + 1) % 3]) for k in range(6))
+
+
+def trotter_slices(
+    h_init: PauliSum, h_final: PauliSum, tau: float, substeps: int
+) -> Iterator[tuple[PauliSum, float]]:
+    """One protocol transition as S piecewise-constant slices of the linear
+    interpolation: (h_s, tau/S) with h_s at lam = s/S for s = 1..S."""
+    if tau <= 0:
+        raise ValueError(f"step duration must be positive, got {tau}")
+    if substeps < 1:
+        raise ValueError(f"substeps must be >= 1, got {substeps}")
+    for s in range(1, substeps + 1):
+        lam = s / substeps
+        yield (1.0 - lam) * h_init + lam * h_final, tau / substeps
+
+
+def trotter_rotations(
+    h: PauliSum, dt: float, reps: int
+) -> list[tuple[PauliString, float]]:
+    """First-order product formula for exp(-i*H*dt) as rotations
+    exp(-i*angle*P) in application order: the terms of ``h`` in their fixed
+    order, each with angle coeff*dt/reps, repeated ``reps`` times."""
+    if reps < 1:
+        raise ValueError(f"repetitions must be >= 1, got {reps}")
+    return [(string, coeff * dt / reps) for coeff, string in h.terms] * reps
 
 
 def zero_mode_pair(config: Configuration, n: int) -> MajoranaMonomial:

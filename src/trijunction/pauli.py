@@ -163,10 +163,10 @@ def commutes(a: PauliString, b: PauliString) -> bool:
     return ((a.x & b.z).bit_count() + (a.z & b.x).bit_count()) % 2 == 0
 
 
-def to_matrix(s: PauliString, dense_limit: int = DENSE_QUBIT_LIMIT) -> np.ndarray:
+def to_matrix(s: PauliString) -> np.ndarray:
     """Dense 2^Q x 2^Q realisation; permutation-plus-phase fill, no krons."""
-    if s.num_qubits > dense_limit:
-        raise ValueError(f"dense realisation limited to {dense_limit} qubits")
+    if s.num_qubits > DENSE_QUBIT_LIMIT:
+        raise ValueError(f"dense realisation limited to {DENSE_QUBIT_LIMIT} qubits")
     dim = 1 << s.num_qubits
     w = pauli_action_phases(s.num_qubits, s.x, s.z, s.phase_exp)
     idx = np.arange(dim)
@@ -224,9 +224,9 @@ class PauliSum:
 
     __rmul__ = __mul__
 
-    def to_matrix(self, dense_limit: int = DENSE_QUBIT_LIMIT) -> np.ndarray:
-        if self.num_qubits > dense_limit:
-            raise ValueError(f"dense realisation limited to {dense_limit} qubits")
+    def to_matrix(self) -> np.ndarray:
+        if self.num_qubits > DENSE_QUBIT_LIMIT:
+            raise ValueError(f"dense realisation limited to {DENSE_QUBIT_LIMIT} qubits")
         dim = 1 << self.num_qubits
         M = np.zeros((dim, dim), dtype=np.complex128)
         idx = np.arange(dim)

@@ -16,11 +16,12 @@ Ground-space convention
 -----------------------
 Within the degenerate lowest eigenspace the returned basis diagonalises the
 mapped zero-mode pair operator ("parity"): column 0 has parity +1, column 1
-parity -1, each with its first significant amplitude made real positive.  On
-the coupler layout the lowest eigenspace is four-dimensional (the gauge
-redundancy doubles it); there the slice with gauge eigenvalue equal to the
-parity eigenvalue is selected, which is the slice containing the reference
-single-site ground pair.  Reported braid phases are basis-independent.
+parity -1, each with its first significant amplitude made real positive.
+There is no parity-free form.  On the coupler layout the lowest eigenspace is
+four-dimensional (the gauge redundancy doubles it); there the slice with gauge
+eigenvalue equal to the parity eigenvalue is selected, which is the slice
+containing the reference single-site ground pair.  Reported braid phases are
+basis-independent.
 """
 
 from __future__ import annotations
@@ -32,10 +33,13 @@ import numpy as np
 
 from . import kernels
 from .hamiltonians import (
+    PROTOCOL_CONFIGS,
     Configuration,
     TrijunctionParams,
     schedule,
     trijunction_h,
+    trotter_rotations,
+    trotter_slices,
     zero_mode_pair,
 )
 from .majorana import ExchangeOperator, braid_exchanges
@@ -60,6 +64,8 @@ __all__ = [
     "trotter_adiabatic",
     "trotter_step",
 ]
+
+DEGENERACY_ATOL = 1e-8  # energy window of the degenerate ground level
 
 
 def basis_state(num_qubits: int, index: int = 0) -> np.ndarray:
@@ -97,21 +103,18 @@ def apply_braid(psi: np.ndarray, layout: QubitLayout, steps: int = 6) -> np.ndar
 
 
 def braid_unitary(
-    layout: QubitLayout,
-    steps: int = 3,
-    columns: np.ndarray | None = None,
-    dense_limit: int = DENSE_QUBIT_LIMIT,
+    layout: QubitLayout, steps: int = 3, columns: np.ndarray | None = None
 ) -> np.ndarray:
     """U @ columns for the unitary U of the first ``steps`` protocol steps
     (3 = one braid), for a (2^Q, k) block ``columns``.
 
     Without ``columns`` the dense unitary U itself is returned; that form is
-    a test oracle and is limited to ``dense_limit`` qubits.
+    a test oracle and is limited to ``DENSE_QUBIT_LIMIT`` qubits.
     """
     dim = 1 << layout.total_qubits
     if columns is None:
-        if layout.total_qubits > dense_limit:
-            raise ValueError(f"dense unitary limited to {dense_limit} qubits")
+        if layout.total_qubits > DENSE_QUBIT_LIMIT:
+            raise ValueError(f"dense unitary limited to {DENSE_QUBIT_LIMIT} qubits")
         columns = np.eye(dim, dtype=np.complex128)
     elif columns.ndim != 2 or columns.shape[0] != dim:
         raise ValueError(f"braid columns must have {dim} rows")
@@ -159,50 +162,39 @@ def _eigenspace_slice(
     return B @ V[:, keep]
 
 
-def _dense_eigh(h: PauliSum, dense_limit: int) -> tuple[np.ndarray, np.ndarray]:
+def _dense_eigh(h: PauliSum) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of the dense matrix of ``h``, in real arithmetic
     when that matrix is real: a phase-free Pauli string is real exactly when
     it has an even number of Y factors, and the coefficients are real."""
-    H = h.to_matrix(dense_limit)
+    H = h.to_matrix()
     if all((string.x & string.z).bit_count() % 2 == 0 for _, string in h.terms):
         H = H.real
     return np.linalg.eigh(H)
 
 
 def ground_space(
-    h: PauliSum,
-    parity: tuple[float, PauliString] | None = None,
-    gauge: PauliString | None = None,
-    degeneracy_atol: float = 1e-8,
-    dense_limit: int = DENSE_QUBIT_LIMIT,
+    h: PauliSum, parity: tuple[float, PauliString], gauge: PauliString | None = None
 ) -> GroundSpace:
     """Two lowest eigenvectors of ``h`` under the documented basis convention.
 
     ``parity`` is a (sign, string) pair for the conserved zero-mode operator;
-    ``gauge`` restricts to its redundancy slice on the coupler layout.  Without
-    a parity operator the raw (already orthonormal) eigensolver pair is
-    returned phase-fixed, which is only reproducible up to degenerate mixing.
+    ``gauge`` restricts to its redundancy slice on the coupler layout.
     """
-    if h.num_qubits > dense_limit:
-        raise ValueError(f"dense ground space limited to {dense_limit} qubits")
-    evals, evecs = _dense_eigh(h, dense_limit)
-    cluster = evals <= evals[0] + degeneracy_atol
+    evals, evecs = _dense_eigh(h)
+    cluster = evals <= evals[0] + DEGENERACY_ATOL
     B = evecs[:, cluster]
     if B.shape[1] < 2:
         raise ValueError("ground level is not degenerate")
-    if parity is None:
-        cols = [B[:, 0], B[:, 1]]
-    else:
-        cols = []
-        for target in (1.0, -1.0):
-            sub = _eigenspace_slice(B, parity, target)
-            if gauge is not None:
-                sub = _eigenspace_slice(sub, (1.0, gauge), target)
-            if sub.shape[1] != 1:
-                raise ValueError(
-                    f"parity/gauge slice has dimension {sub.shape[1]}, expected 1"
-                )
-            cols.append(sub[:, 0])
+    cols = []
+    for target in (1.0, -1.0):
+        sub = _eigenspace_slice(B, parity, target)
+        if gauge is not None:
+            sub = _eigenspace_slice(sub, (1.0, gauge), target)
+        if sub.shape[1] != 1:
+            raise ValueError(
+                f"parity/gauge slice has dimension {sub.shape[1]}, expected 1"
+            )
+        cols.append(sub[:, 0])
     G = np.stack([_fix_phase(c) for c in cols], axis=1)
     return GroundSpace(G, evals[:2].copy())
 
@@ -250,21 +242,16 @@ def project_braid(U: np.ndarray, gs: GroundSpace) -> BraidReport:
     return BraidReport(W, np.angle(lam), dphi, defect)
 
 
-def evolve_exact(
-    psi: np.ndarray, h: PauliSum, t: float, dense_limit: int = DENSE_QUBIT_LIMIT
-) -> np.ndarray:
+def evolve_exact(psi: np.ndarray, h: PauliSum, t: float) -> np.ndarray:
     """exp(-i*H*t)|psi> through a dense eigendecomposition."""
-    evals, evecs = _dense_eigh(h, dense_limit)
+    evals, evecs = _dense_eigh(h)
     return evecs @ (np.exp(-1j * evals * t) * (evecs.conj().T @ psi))
 
 
 def trotter_step(psi: np.ndarray, h: PauliSum, dt: float, reps: int = 1) -> np.ndarray:
     """First-order product formula for exp(-i*H*dt) in the fixed term order."""
-    if reps < 1:
-        raise ValueError(f"repetitions must be >= 1, got {reps}")
-    for _ in range(reps):
-        for coeff, string in h.terms:
-            psi = apply_rotation(psi, string, coeff * dt / reps)
+    for string, angle in trotter_rotations(h, dt, reps):
+        psi = apply_rotation(psi, string, angle)
     return psi
 
 
@@ -278,14 +265,8 @@ def trotter_adiabatic(
 ) -> np.ndarray:
     """One protocol transition: S piecewise-constant slices of the linear
     interpolation, each Trotterised for duration tau/S."""
-    if tau <= 0:
-        raise ValueError(f"step duration must be positive, got {tau}")
-    if substeps < 1:
-        raise ValueError(f"substeps must be >= 1, got {substeps}")
-    for s in range(1, substeps + 1):
-        lam = s / substeps
-        h_s = (1.0 - lam) * h_init + lam * h_final
-        psi = trotter_step(psi, h_s, tau / substeps, reps)
+    for h_s, dt in trotter_slices(h_init, h_final, tau, substeps):
+        psi = trotter_step(psi, h_s, dt, reps)
     return psi
 
 
@@ -299,17 +280,11 @@ def run_adiabatic(
     """Drive |Psi(0)>_+ through all six transitions; return the final state
     and its overlap-squared with |Psi(0)>_-."""
     gs = trijunction_ground_space(Configuration(1, 2), params, layout)
-    mapped: dict[Configuration, PauliSum] = {}
-
-    def h_of(config: Configuration) -> PauliSum:
-        if config not in mapped:
-            mapped[config] = map_hamiltonian(trijunction_h(config, params), layout)
-        return mapped[config]
-
+    mapped = {
+        c: map_hamiltonian(trijunction_h(c, params), layout) for c in PROTOCOL_CONFIGS
+    }
     psi = prepare_initial(gs, +1)
-    for config_init, config_final in schedule():
-        psi = trotter_adiabatic(
-            psi, h_of(config_init), h_of(config_final), tau, substeps, reps
-        )
+    for ci, cf in schedule():
+        psi = trotter_adiabatic(psi, mapped[ci], mapped[cf], tau, substeps, reps)
     target = prepare_initial(gs, -1)
     return psi, fidelity(target, psi)

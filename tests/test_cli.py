@@ -150,6 +150,34 @@ def test_zero_coupling_exits_two(capsys, flag):
     assert f"{flag} must be nonzero" in err
 
 
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        ("verify", "--tau", "5"),
+        ("verify", "--trotter-steps", "3"),
+        ("verify", "--reps", "2"),
+        ("verify", "--method", "braiding"),
+        ("braid", "--tau", "5"),
+        ("braid", "--trotter-steps", "3"),
+        ("braid", "--reps", "2"),
+        ("braid", "--method", "braiding"),
+        ("adiabatic", "--method", "adiabatic"),
+        ("adiabatic", "--steps", "3"),
+        ("resources", "--steps", "3"),
+        ("resources", "--delta", "2"),
+        ("resources", "--alpha", "0.5"),
+        ("resources", "--tcoupling", "1.75"),
+    ],
+)
+def test_unread_flag_exits_two(capsys, command, flag, value):
+    # A flag the command does not read is rejected rather than echoed into
+    # ``config`` without effect.
+    code, out, err = run(capsys, command, "--sites", "1", flag, value)
+    assert code == 2
+    assert out == ""
+    assert flag in err
+
+
 def test_mapping_both_rejected_outside_resources(capsys):
     assert run(capsys, "braid", "--sites", "1", "--mapping", "both")[0] == 2
 

@@ -177,15 +177,17 @@ def test_braiding_circuit_matches_simulator_unitary(kind):
     assert np.linalg.norm(got - want, 2) < 1e-9
 
 
-def test_adiabatic_circuit_matches_trotterized_state_path():
+@pytest.mark.parametrize("kind", ["coupler", "continuous"])
+@pytest.mark.parametrize("reps", [1, 2])
+def test_adiabatic_circuit_matches_trotterized_state_path(kind, reps):
     from trijunction.simulator import basis_state, trotter_adiabatic
 
-    layout = coupler_layout(1)
+    layout = layout_for(kind, 1)
     params = TrijunctionParams(n=1)
     tau, substeps = 0.7, 2
-    circuit = compile_adiabatic(layout, params, tau, substeps)
+    circuit = compile_adiabatic(layout, params, tau, substeps, reps)
     U = circuit_unitary(circuit)
-    psi = basis_state(4, 3)
+    psi = basis_state(layout.total_qubits, 3)
     from trijunction.hamiltonians import schedule
 
     expected = psi
@@ -196,6 +198,7 @@ def test_adiabatic_circuit_matches_trotterized_state_path():
             map_hamiltonian(trijunction_h(cf, params), layout),
             tau,
             substeps,
+            reps,
         )
     got = U @ psi
     overlap = np.vdot(expected, got)

@@ -129,15 +129,16 @@ def test_ground_space_is_an_isometry(kind, n):
 
 
 def test_ground_space_requires_degeneracy():
-    h = PauliSum(1, [(1.0, PauliString.from_label("Z"))])
-    with pytest.raises(ValueError):
-        ground_space(h)
+    z = PauliString.from_label("Z")
+    h = PauliSum(1, [(1.0, z)])
+    with pytest.raises(ValueError, match="not degenerate"):
+        ground_space(h, parity=(1.0, z))
 
 
 def test_ground_space_dense_limit():
     h = PauliSum(15)
-    with pytest.raises(ValueError):
-        ground_space(h)
+    with pytest.raises(ValueError, match="limited to 14 qubits"):
+        ground_space(h, parity=(1.0, PauliString.identity(15)))
 
 
 def test_prepare_initial_superpositions():
@@ -217,10 +218,10 @@ def test_real_eigh_ground_space_matches_complex(monkeypatch, n, scale):
     layout = coupler_layout(n)
     params = TrijunctionParams(n=n, delta=scale, alpha=scale, t_junction=scale)
     h = map_hamiltonian(trijunction_h(CONFIG_12, params), layout)
-    assert simulator._dense_eigh(h, 14)[1].dtype == np.float64
+    assert simulator._dense_eigh(h)[1].dtype == np.float64
     real = trijunction_ground_space(CONFIG_12, params, layout)
     monkeypatch.setattr(
-        simulator, "_dense_eigh", lambda h, limit: np.linalg.eigh(h.to_matrix(limit))
+        simulator, "_dense_eigh", lambda h: np.linalg.eigh(h.to_matrix())
     )
     ref = trijunction_ground_space(CONFIG_12, params, layout)
     np.testing.assert_allclose(real.basis, ref.basis, rtol=0, atol=1e-10)
@@ -230,7 +231,7 @@ def test_real_eigh_ground_space_matches_complex(monkeypatch, n, scale):
 def test_odd_y_hamiltonian_keeps_complex_eigh():
     layout = continuous_layout(3)
     h = map_hamiltonian(trijunction_h(CONFIG_12, TrijunctionParams(n=3)), layout)
-    assert simulator._dense_eigh(h, 14)[1].dtype == np.complex128
+    assert simulator._dense_eigh(h)[1].dtype == np.complex128
 
 
 def test_project_braid_rejects_other_shapes():
