@@ -14,6 +14,7 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -85,6 +86,12 @@ class RunConfig:
             raise ConfigError(f"--steps must lie in [0, 6], got {self.steps}")
         if self.fmt not in ("json", "csv"):
             raise ConfigError(f"unknown format {self.fmt!r}")
+        if self.out is not None:
+            directory = os.path.dirname(self.out) or "."
+            if not os.path.isdir(directory):
+                raise ConfigError(
+                    f"--out {self.out!r}: directory {directory!r} does not exist"
+                )
 
     def params(self) -> TrijunctionParams:
         return TrijunctionParams(
@@ -287,8 +294,11 @@ def _emit(config: RunConfig, payload, wall_time: float):
             )
         text = buffer.getvalue()
     if config.out:
-        with open(config.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(config.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"--out {config.out!r}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -346,8 +356,16 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    config = RunConfig(**vars(args))
+    given = vars(args)
+    config = RunConfig(**given)
     try:
+        # Only ``resources`` has --method; its braiding sweep is not Trotterised.
+        if config.method == "braiding":
+            for name in ("tau", "trotter_steps", "reps"):
+                if name in given:
+                    raise ConfigError(
+                        f"--{name.replace('_', '-')} is not read by --method braiding"
+                    )
         config.validate()
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -355,10 +373,14 @@ def main(argv: list[str] | None = None) -> int:
     start = time.perf_counter()
     try:
         payload, ok = _COMMANDS[config.command](config)
-    except (ValueError, ConfigError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _emit(config, payload, time.perf_counter() - start)
+    try:
+        _emit(config, payload, time.perf_counter() - start)
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     return 0 if ok else 1
 
 

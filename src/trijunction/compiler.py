@@ -150,11 +150,17 @@ def count_resources(
     depth = 0
     prefix = [0]  # cumulative entangler count before gate i
     for gate in circuit.gates:
-        prefix.append(prefix[-1] + (1 if gate.name == "cx" else 0))
-        tick = 1 + max((clocks[q] for q in gate.qubits), default=0)
-        for q in gate.qubits:
-            clocks[q] = tick
-        depth = max(depth, tick)
+        if gate.name == "cx":
+            a, b = gate.qubits
+            tick = 1 + max(clocks[a], clocks[b])
+            clocks[a] = clocks[b] = tick
+            prefix.append(prefix[-1] + 1)
+        else:
+            (q,) = gate.qubits
+            tick = clocks[q] = clocks[q] + 1
+            prefix.append(prefix[-1])
+        if tick > depth:
+            depth = tick
     two_qubit = prefix[-1]
     per_step = []
     prev = 0

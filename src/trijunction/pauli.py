@@ -15,6 +15,15 @@ Qubit 0 is the rightmost factor in ket labels |q_{Q-1} ... q_1 q_0>, and bit b
 of a basis index is qubit b.  Labels returned by :meth:`PauliString.label` are
 written in the same ket order.
 
+Order
+-----
+:meth:`PauliString.sort_key` is ``(weight, code)``, where ``code`` is the
+integer whose base-4 digit q is the axis code of qubit q: I=0, X=1, Y=2, Z=3,
+that is ``(x ^ z) + 2*z`` per qubit, with qubit Q-1 the most significant
+digit.  Among strings of one qubit count this is exactly the
+``(weight, label())`` order, since 'I' < 'X' < 'Y' < 'Z' and the label writes
+qubit Q-1 first; it is built with integer operations only.
+
 All values are immutable; every operation is pure.
 """
 
@@ -39,6 +48,22 @@ DENSE_QUBIT_LIMIT = 14
 
 _AXIS_OF_BITS = {(0, 0): "I", (1, 0): "X", (0, 1): "Z", (1, 1): "Y"}
 _BITS_OF_AXIS = {v: k for k, v in _AXIS_OF_BITS.items()}
+
+# Byte b with bit i moved to bit 2i.
+_SPREAD_BYTE = tuple(
+    sum(((b >> i) & 1) << (2 * i) for i in range(8)) for b in range(256)
+)
+
+
+def _spread(mask: int) -> int:
+    """Move bit q of ``mask`` to bit 2q, one byte at a time."""
+    out = 0
+    shift = 0
+    while mask:
+        out |= _SPREAD_BYTE[mask & 0xFF] << shift
+        mask >>= 8
+        shift += 16
+    return out
 
 
 class PauliString:
@@ -111,10 +136,13 @@ class PauliString:
         return tuple(q for q in range(self.num_qubits) if (bits >> q) & 1)
 
     def drop_phase(self) -> "PauliString":
+        if self.phase_exp == 0:
+            return self
         return PauliString(self.num_qubits, self.x, self.z, 0)
 
-    def sort_key(self) -> tuple:
-        return (self.weight, self.label())
+    def sort_key(self) -> tuple[int, int]:
+        """(weight, base-4 axis code); the (weight, label()) order."""
+        return (self.weight, _spread(self.x ^ self.z) | _spread(self.z) << 1)
 
     def to_matrix(self) -> np.ndarray:
         return to_matrix(self)
@@ -178,9 +206,10 @@ def to_matrix(s: PauliString) -> np.ndarray:
 class PauliSum:
     """Real-weighted sum of phase-free Pauli strings (a Hermitian operator).
 
-    Terms are merged by string, pruned below 1e-12, and kept in a fixed
-    (weight, label) order so that any consumer iterating ``terms`` sees the
-    same deterministic sequence.
+    Terms are merged by string, pruned below 1e-12, and kept in the fixed
+    :meth:`PauliString.sort_key` order, weight first and then the integer
+    axis code, which is the (weight, label) order; so any consumer iterating
+    ``terms`` sees the same deterministic sequence.
     """
 
     __slots__ = ("num_qubits", "terms")

@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -187,3 +188,51 @@ def test_continuous_mapping_verify(capsys):
     assert code == 0
     results = json.loads(out)["results"]
     assert results["dphi_single"] == pytest.approx(math.pi / 2, abs=1e-9)
+
+
+@pytest.mark.parametrize("where", ["missing_directory", "directory_itself"])
+def test_unwritable_out_exits_two(capsys, tmp_path, where):
+    # A missing directory is caught before any computing; a path the write
+    # itself refuses is caught at the write.  Both are usage errors, not a
+    # failed physics check.
+    target = tmp_path / "missing" / "x.json" if where == "missing_directory" else tmp_path
+    code, out, err = run(capsys, "verify", "--sites", "1", "--out", str(target))
+    assert code == 2
+    assert out == ""
+    assert str(target) in err
+
+
+@pytest.mark.parametrize(
+    "method, flag, value, expected",
+    [
+        ("braiding", "--tau", "5", 2),
+        ("braiding", "--trotter-steps", "3", 2),
+        ("braiding", "--reps", "2", 2),
+        ("adiabatic", "--tau", "5", 0),
+        ("both", "--trotter-steps", "3", 0),
+        ("both", "--reps", "2", 0),
+    ],
+)
+def test_trotter_flags_need_an_adiabatic_sweep(capsys, method, flag, value, expected):
+    # The braiding sweep compiles no Trotter circuit, so it reads none of them.
+    code, out, err = run(
+        capsys, "resources", "--sites", "1", "--method", method, flag, value,
+        "--format", "csv",
+    )
+    assert code == expected
+    if expected == 2:
+        assert out == ""
+        assert flag in err
+    else:
+        assert out.startswith("n,method,mapping")
+
+
+def test_resources_table_matches_benchmark_reference(capsys):
+    # The ASAP depth depends on the order of the compiled rotations, which
+    # follows the Pauli term order; pin the whole table to the benchmark's
+    # recorded copy.
+    reference = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+    expected = json.loads(reference.read_text())["resources_csv"]
+    code, out, _ = run(capsys, "resources", "--sites", "8", "--format", "csv")
+    assert code == 0
+    assert out == expected

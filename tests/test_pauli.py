@@ -1,5 +1,7 @@
 """Pauli string algebra against the dense-matrix oracle."""
 
+import random
+
 import numpy as np
 import pytest
 
@@ -198,3 +200,27 @@ def test_term_order_is_deterministic():
     h = PauliSum(2, [(1.0, zz), (1.0, xi), (1.0, ix)])
     labels = [s.label() for _, s in h.terms]
     assert labels == ["IX", "XI", "ZZ"]  # weight first, then label
+
+
+def label_key(s):
+    return (s.weight, s.label())
+
+
+@pytest.mark.parametrize("num_qubits", [1, 2, 7, 8, 9, 16, 17, 25, 30])
+def test_sort_key_orders_as_weight_then_label(num_qubits):
+    # The integer axis code must give the (weight, label) order; the qubit
+    # counts cross the byte boundaries of its spreading table.
+    rng = random.Random(num_qubits)
+    strings = []
+    for _ in range(300):
+        x = rng.getrandbits(num_qubits)
+        z = rng.getrandbits(num_qubits)
+        # Sparse strings too, so that equal weights are common at large Q.
+        if rng.random() < 0.5:
+            keep = rng.getrandbits(num_qubits) & rng.getrandbits(num_qubits)
+            x, z = x & keep, z & keep
+        strings.append(PauliString(num_qubits, x, z))
+    assert sorted(strings, key=PauliString.sort_key) == sorted(strings, key=label_key)
+    pairs = [(rng.uniform(-1.0, 1.0), s) for s in strings]
+    terms = [s for _, s in PauliSum(num_qubits, pairs).terms]
+    assert terms == sorted(set(strings), key=label_key)
