@@ -7,7 +7,9 @@ echoed-cross-resonance differ only by single-qubit dressing so their counts
 coincide.  Each Pauli rotation exp(-i*theta*P) of weight w compiles to a
 basis change onto Z, a cx ladder down the support, one rz(2*theta), and the
 mirror image: exactly 2*(w-1) entanglers.  No cross-fragment cancellation is
-attempted; counts are structural.
+attempted; counts are structural.  Everything but the rz angle depends on the
+string alone, so each string's fragment is built once and kept in a bounded
+cache of the 1024 most recent strings.
 
 Depth is ASAP-scheduled on all-to-all connectivity: a gate starts one tick
 after the latest gate sharing any of its qubits.
@@ -15,6 +17,7 @@ after the latest gate sharing any of its qubits.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Sequence
 
@@ -70,19 +73,14 @@ class ResourceReport:
     per_step: tuple[int, ...] = ()
 
 
-def compile_rotation(
-    string: PauliString, angle: float
-) -> tuple[list[Gate], float]:
-    """Gate fragment for exp(-i*angle*P) plus its global-phase contribution.
-
-    Weight-0 strings produce no gates, only the phase exp(-i*angle).
-    """
-    if string.phase_exp != 0:
-        raise ValueError("rotation axis must be a phase-free Hermitian string")
+@functools.lru_cache(maxsize=1024)
+def _fragment(
+    string: PauliString,
+) -> tuple[tuple[Gate, ...], int, tuple[Gate, ...]]:
+    """(head, rz qubit, tail) of a phase-free string of weight >= 1: the basis
+    change and cx ladder before the rz, and their mirror image after it.
+    Cached for the 1024 most recent strings."""
     support = string.support()
-    if not support:
-        return [], -angle
-    gates: list[Gate] = []
     pre: list[Gate] = []
     post: list[Gate] = []
     for q in support:
@@ -95,14 +93,23 @@ def compile_rotation(
             pre.append(Gate("h", (q,)))
             post.append(Gate("h", (q,)))
             post.append(Gate("s", (q,)))
-    gates.extend(pre)
-    for i in range(len(support) - 1):
-        gates.append(Gate("cx", (support[i], support[i + 1])))
-    gates.append(Gate("rz", (support[-1],), 2.0 * angle))
-    for i in range(len(support) - 2, -1, -1):
-        gates.append(Gate("cx", (support[i], support[i + 1])))
-    gates.extend(post)
-    return gates, 0.0
+    ladder = [Gate("cx", pair) for pair in zip(support, support[1:])]
+    return (*pre, *ladder), support[-1], (*reversed(ladder), *post)
+
+
+def compile_rotation(
+    string: PauliString, angle: float
+) -> tuple[list[Gate], float]:
+    """Gate fragment for exp(-i*angle*P) plus its global-phase contribution.
+
+    Weight-0 strings produce no gates, only the phase exp(-i*angle).
+    """
+    if string.phase_exp != 0:
+        raise ValueError("rotation axis must be a phase-free Hermitian string")
+    if string.is_identity:
+        return [], -angle
+    head, q, tail = _fragment(string)
+    return [*head, Gate("rz", (q,), 2.0 * angle), *tail], 0.0
 
 
 def compile_braiding(layout: QubitLayout, steps: int = 6) -> Circuit:

@@ -11,10 +11,17 @@ vectorised numpy gather does this for a state vector and for a (2^Q, k) block of
 columns alike.  This is the hot inner loop of the simulator (exchange rotations
 and Trotter steps live here).  Basis convention: bit b of the index is qubit b,
 kets are written |q_{Q-1} ... q_1 q_0>.
+
+A run repeats a short list of strings thousands of times (a Trotterised
+protocol at n sites uses 9n distinct strings), so each string's gather, the
+permutation i ^ x and the permuted phases w[i ^ x], is built once and kept in
+a bounded cache of the 64 most recent strings: at most 64 * 24 B * 2^Q, about
+12.6 MB at 13 qubits.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -38,22 +45,34 @@ def pauli_action_phases(num_qubits: int, x: int, z: int, phase_exp: int) -> np.n
     return _I_POWERS[e] * (1.0 - 2.0 * par)
 
 
+@functools.lru_cache(maxsize=64)
+def _string_action(
+    num_qubits: int, x: int, z: int, phase_exp: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (perm, w[perm]) with perm = arange(2^Q) ^ x, so that
+    (P @ M)[i] = w[perm][i] * M[perm[i]].  64 strings of 24 B * 2^Q each."""
+    perm = np.arange(1 << num_qubits) ^ x
+    wp = pauli_action_phases(num_qubits, x, z, phase_exp)[perm]
+    perm.setflags(write=False)
+    wp.setflags(write=False)
+    return perm, wp
+
+
 def apply_string_to_matrix(
     M: np.ndarray, num_qubits: int, x: int, z: int, phase_exp: int
 ) -> np.ndarray:
     """P @ M for a state vector or a (2^Q, k) block M whose rows are indexed
     like basis states."""
-    w = pauli_action_phases(num_qubits, x, z, phase_exp)
-    perm = np.arange(M.shape[0]) ^ x
-    return w[perm].reshape(perm.shape + (1,) * (M.ndim - 1)) * M[perm]
+    if M.shape[0] != (1 << num_qubits):
+        raise ValueError(f"{M.shape[0]} rows do not match {num_qubits} qubits")
+    perm, wp = _string_action(num_qubits, x, z, phase_exp)
+    return wp.reshape(perm.shape + (1,) * (M.ndim - 1)) * M[perm]
 
 
 def _rotate(
     M: np.ndarray, num_qubits: int, x: int, z: int, phase_exp: int, theta: float
 ) -> np.ndarray:
     """exp(-i*theta*P) @ M for a state vector or a (2^Q, k) block M."""
-    if M.shape[0] != (1 << num_qubits):
-        raise ValueError(f"{M.shape[0]} rows do not match {num_qubits} qubits")
     PM = apply_string_to_matrix(M, num_qubits, x, z, phase_exp)
     return math.cos(theta) * M - 1j * math.sin(theta) * PM
 

@@ -67,9 +67,13 @@ def _spread(mask: int) -> int:
 
 
 class PauliString:
-    """One tensor product of single-qubit Paulis with a tracked i**k phase."""
+    """One tensor product of single-qubit Paulis with a tracked i**k phase.
 
-    __slots__ = ("num_qubits", "x", "z", "phase_exp")
+    The slot ``_key`` holds :meth:`sort_key` once it has been computed; it is
+    not part of the value, so equality and hashing ignore it.
+    """
+
+    __slots__ = ("num_qubits", "x", "z", "phase_exp", "_key")
 
     def __init__(self, num_qubits: int, x: int = 0, z: int = 0, phase_exp: int = 0):
         if num_qubits < 0:
@@ -141,8 +145,14 @@ class PauliString:
         return PauliString(self.num_qubits, self.x, self.z, 0)
 
     def sort_key(self) -> tuple[int, int]:
-        """(weight, base-4 axis code); the (weight, label()) order."""
-        return (self.weight, _spread(self.x ^ self.z) | _spread(self.z) << 1)
+        """(weight, base-4 axis code); the (weight, label()) order.  Computed
+        on first use and kept."""
+        try:
+            return self._key
+        except AttributeError:
+            key = (self.weight, _spread(self.x ^ self.z) | _spread(self.z) << 1)
+            object.__setattr__(self, "_key", key)
+            return key
 
     def to_matrix(self) -> np.ndarray:
         return to_matrix(self)
@@ -209,7 +219,8 @@ class PauliSum:
     Terms are merged by string, pruned below 1e-12, and kept in the fixed
     :meth:`PauliString.sort_key` order, weight first and then the integer
     axis code, which is the (weight, label) order; so any consumer iterating
-    ``terms`` sees the same deterministic sequence.
+    ``terms`` sees the same deterministic sequence.  Scaling by a Python int
+    or float keeps the strings and their order, so it only scales and prunes.
     """
 
     __slots__ = ("num_qubits", "terms")
@@ -247,9 +258,21 @@ class PauliSum:
         return PauliSum(self.num_qubits, (*self.terms, *other.terms))
 
     def __mul__(self, scalar: float) -> "PauliSum":
-        return PauliSum(
-            self.num_qubits, ((scalar * c, s) for c, s in self.terms)
+        if type(scalar) not in (int, float):
+            # complex and numpy scalars take the checked, converting path
+            return PauliSum(
+                self.num_qubits, ((scalar * c, s) for c, s in self.terms)
+            )
+        scaled = object.__new__(PauliSum)
+        object.__setattr__(scaled, "num_qubits", self.num_qubits)
+        object.__setattr__(
+            scaled,
+            "terms",
+            tuple(
+                (v, s) for c, s in self.terms if abs(v := scalar * c) > 1e-12
+            ),
         )
+        return scaled
 
     __rmul__ = __mul__
 

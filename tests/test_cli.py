@@ -3,10 +3,14 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import trijunction
 from trijunction.cli import main
 
 
@@ -236,3 +240,22 @@ def test_resources_table_matches_benchmark_reference(capsys):
     code, out, _ = run(capsys, "resources", "--sites", "8", "--format", "csv")
     assert code == 0
     assert out == expected
+
+
+@pytest.mark.parametrize(
+    "argv, code", [(["verify", "--sites", "1"], 0), (["braid", "--sites", "0"], 2)]
+)
+def test_module_entry_point(argv, code):
+    # Run as ``python -m trijunction``, from the directory the package was
+    # imported from, so it works with or without an installed copy.
+    env = dict(os.environ, PYTHONPATH=str(Path(trijunction.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-m", "trijunction", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == code, done.stderr
+    if code == 0:
+        assert json.loads(done.stdout)["results"]["checks_passed"] is True
+    else:
+        assert done.stdout == ""
+        assert "--sites" in done.stderr

@@ -13,8 +13,14 @@ from trijunction.compiler import (
     count_resources,
     sweep,
 )
-from trijunction.hamiltonians import TrijunctionParams, trijunction_h
-from trijunction.mappings import coupler_layout, layout_for, map_hamiltonian
+from trijunction.hamiltonians import PROTOCOL_CONFIGS, TrijunctionParams, trijunction_h
+from trijunction.majorana import build_sub_operators, protocol_steps
+from trijunction.mappings import (
+    coupler_layout,
+    exchange_rotation,
+    layout_for,
+    map_hamiltonian,
+)
 from trijunction.pauli import PauliString, to_matrix
 from trijunction.simulator import braid_unitary
 
@@ -229,3 +235,73 @@ def test_sweep_orderings_hold_at_default_settings():
 def test_sweep_rejects_unknown_method():
     with pytest.raises(ValueError):
         sweep([1], methods=("annealing",))
+
+
+def reference_fragment(string, angle):
+    """compile_rotation's gate list, built anew on every call."""
+    support = string.support()
+    pre, post = [], []
+    for q in support:
+        axis = string.axis(q)
+        if axis == "X":
+            pre.append(Gate("h", (q,)))
+            post.append(Gate("h", (q,)))
+        elif axis == "Y":
+            pre += [Gate("sdg", (q,)), Gate("h", (q,))]
+            post += [Gate("h", (q,)), Gate("s", (q,))]
+    ladder = [Gate("cx", (a, b)) for a, b in zip(support, support[1:])]
+    rz = Gate("rz", (support[-1],), 2.0 * angle)
+    return [*pre, *ladder, rz, *ladder[::-1], *post]
+
+
+def protocol_strings(kind, n):
+    layout = layout_for(kind, n)
+    params = TrijunctionParams(n=n)
+    strings = [
+        string
+        for c in PROTOCOL_CONFIGS
+        for _, string in map_hamiltonian(trijunction_h(c, params), layout).terms
+    ]
+    for step in protocol_steps():
+        for o in build_sub_operators(step, n):
+            strings.append(exchange_rotation(o, layout)[0])
+    return strings
+
+
+@pytest.mark.parametrize("kind", ["coupler", "continuous"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_cached_fragments_match_uncached_fragments(kind, n):
+    strings = protocol_strings(kind, n)
+    rng = np.random.default_rng(50 + n)
+    num_qubits = strings[0].num_qubits
+    for _ in range(20):
+        x = int(rng.integers(0, 1 << num_qubits))
+        z = int(rng.integers(0, 1 << num_qubits))
+        strings.append(PauliString(num_qubits, x, z, 0))
+    for repeat in range(2):  # the first pass fills the cache, the second reads it
+        for k, string in enumerate(strings):
+            angle = 0.1 + 0.01 * k + repeat
+            gates, phase = compile_rotation(string, angle)
+            if string.weight == 0:
+                assert (gates, phase) == ([], -angle)
+            else:
+                assert gates == reference_fragment(string, angle)
+                assert phase == 0.0
+
+
+def test_mutating_a_fragment_does_not_change_the_next():
+    string = PauliString.from_label("XYZI")
+    gates, _ = compile_rotation(string, 0.3)
+    gates.append(Gate("h", (0,)))
+    gates[0] = Gate("s", (3,))
+    del gates[1]
+    again, _ = compile_rotation(string, 0.3)
+    assert again == reference_fragment(string, 0.3)
+
+
+def test_phased_copy_of_cached_string_still_raises():
+    string = PauliString.from_label("ZXY")
+    compile_rotation(string, 0.2)
+    for phase_exp in (1, 2, 3):
+        with pytest.raises(ValueError):
+            compile_rotation(PauliString(3, string.x, string.z, phase_exp), 0.2)

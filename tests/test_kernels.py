@@ -1,4 +1,7 @@
-"""Rotation kernel: unitarity, state/block agreement, and the eigen-oracle."""
+"""Rotation kernel: unitarity, state/block agreement, the eigen-oracle, and
+the per-string action cache."""
+
+import math
 
 import numpy as np
 import pytest
@@ -75,3 +78,80 @@ def test_matrix_rotation_rejects_wrong_row_count(rows):
     M = np.zeros((rows, 2), dtype=np.complex128)
     with pytest.raises(ValueError, match="rows do not match"):
         kernels.rotate_matrix(M, 4, 9, 3, 0, 0.31)
+
+
+@pytest.mark.parametrize("rows", [8, 32])
+def test_string_action_rejects_wrong_row_count(rows):
+    # With the permutation cached at 2^Q rows, a taller block would be cut
+    # to 2^Q rows without this check.
+    M = np.zeros((rows, 2), dtype=np.complex128)
+    with pytest.raises(ValueError, match="rows do not match"):
+        kernels.apply_string_to_matrix(M, 4, 9, 3, 0)
+
+
+def uncached_rotation(M, num_qubits, x, z, phase_exp, theta):
+    """exp(-i*theta*P) @ M with the string's action rebuilt on every call,
+    in the kernel's own arithmetic, so the results must agree to the bit."""
+    idx = np.arange(1 << num_qubits, dtype=np.uint64)
+    par = np.bitwise_count(idx & np.uint64(z)) & 1
+    i_powers = np.array([1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j])
+    w = i_powers[(phase_exp + (x & z).bit_count()) & 3] * (1.0 - 2.0 * par)
+    perm = np.arange(M.shape[0]) ^ x
+    PM = w[perm].reshape(perm.shape + (1,) * (M.ndim - 1)) * M[perm]
+    return math.cos(theta) * M - 1j * math.sin(theta) * PM
+
+
+def random_string(rng, num_qubits):
+    return (
+        int(rng.integers(0, 1 << num_qubits)),
+        int(rng.integers(0, 1 << num_qubits)),
+        int(rng.integers(0, 4)),
+        float(rng.uniform(-3, 3)),
+    )
+
+
+@pytest.mark.parametrize("num_qubits", [1, 4, 9, 10, 13])
+def test_cached_action_is_bitwise_equal_to_uncached_formula(num_qubits):
+    rng = np.random.default_rng(100 + num_qubits)
+    dim = 1 << num_qubits
+    for _ in range(6):
+        x, z, e, theta = random_string(rng, num_qubits)
+        psi = random_state(rng, num_qubits)
+        block = rng.normal(size=(dim, 2)) + 1j * rng.normal(size=(dim, 2))
+        keep_psi, keep_block = psi.copy(), block.copy()
+        for _ in range(2):  # the first call fills the cache, the second reads it
+            got = kernels.apply_rotation(psi, num_qubits, x, z, e, theta)
+            want = uncached_rotation(psi, num_qubits, x, z, e, theta)
+            assert np.array_equal(got, want)
+            got = kernels.rotate_matrix(block, num_qubits, x, z, e, theta)
+            want = uncached_rotation(block, num_qubits, x, z, e, theta)
+            assert np.array_equal(got, want)
+        assert np.array_equal(psi, keep_psi)
+        assert np.array_equal(block, keep_block)
+
+
+def test_cached_action_arrays_are_read_only():
+    perm, wp = kernels._string_action(5, 0b10110, 0b01101, 0)
+    assert not perm.flags.writeable
+    assert not wp.flags.writeable
+    with pytest.raises(ValueError):
+        perm[0] = 1
+    with pytest.raises(ValueError):
+        wp[0] = 1.0
+
+
+def test_more_strings_than_the_cache_holds_stay_correct():
+    kernels._string_action.cache_clear()
+    maxsize = kernels._string_action.cache_info().maxsize
+    num_qubits = 8
+    rng = np.random.default_rng(21)
+    masks = rng.integers(0, 1 << num_qubits, size=(4 * maxsize, 2))
+    strings = sorted({(int(x), int(z)) for x, z in masks})[: maxsize + 16]
+    assert len(strings) == maxsize + 16
+    psi = random_state(rng, num_qubits)
+    for _ in range(2):
+        for x, z in strings:
+            got = kernels.apply_rotation(psi, num_qubits, x, z, 0, 0.4)
+            want = uncached_rotation(psi, num_qubits, x, z, 0, 0.4)
+            assert np.array_equal(got, want)
+    assert kernels._string_action.cache_info().currsize == maxsize

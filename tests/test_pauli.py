@@ -224,3 +224,57 @@ def test_sort_key_orders_as_weight_then_label(num_qubits):
     pairs = [(rng.uniform(-1.0, 1.0), s) for s in strings]
     terms = [s for _, s in PauliSum(num_qubits, pairs).terms]
     assert terms == sorted(set(strings), key=label_key)
+
+
+def bits(terms):
+    """Terms with each coefficient as its exact type and bit pattern."""
+    return [(type(c), c.hex(), s) for c, s in terms]
+
+
+def random_sum(rng, num_qubits, size):
+    pairs = []
+    for _ in range(size):
+        x = rng.getrandbits(num_qubits)
+        z = rng.getrandbits(num_qubits)
+        # Magnitudes from 1e-14 to 100, so that scaling prunes some terms.
+        coeff = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-14.0, 2.0)
+        pairs.append((coeff, PauliString(num_qubits, x, z)))
+    return PauliSum(num_qubits, pairs)
+
+
+@pytest.mark.parametrize("k", [2, 3.5, -2.5, 0, -0.0, 1e-13])
+def test_real_scaling_keeps_terms_bitwise(k):
+    rng = random.Random(7)
+    for num_qubits in (1, 3, 6, 9):
+        h = random_sum(rng, num_qubits, 40)
+        want = PauliSum(num_qubits, ((k * c, s) for c, s in h.terms)).terms
+        for scaled in (k * h, h * k):
+            assert scaled.num_qubits == num_qubits
+            assert bits(scaled.terms) == bits(want)
+
+
+def test_complex_scaling_goes_through_the_hermitian_check():
+    h = random_sum(random.Random(8), 4, 20)
+    with pytest.raises(ValueError):
+        1j * h
+    with pytest.raises(ValueError):
+        h * 1j
+    assert bits(((1 + 0j) * h).terms) == bits(h.terms)
+
+
+def test_cached_sort_key_matches_fresh_computation():
+    rng = random.Random(9)
+    for num_qubits in (1, 5, 9, 17, 30):
+        x = rng.getrandbits(num_qubits)
+        z = rng.getrandbits(num_qubits)
+        s = PauliString(num_qubits, x, z)
+        first = s.sort_key()
+        assert s.sort_key() is first
+        assert first == PauliString(num_qubits, x, z).sort_key()
+        code = int(s.label().translate(str.maketrans("IXYZ", "0123")), 4)
+        assert first == (s.weight, code)
+        assert s == PauliString(num_qubits, x, z)
+        assert hash(s) == hash(PauliString(num_qubits, x, z))
+        for name in ("x", "_key"):
+            with pytest.raises(AttributeError):
+                setattr(s, name, 0)

@@ -3,8 +3,9 @@ traced run with every pass correct and every trace site called.
 
 This catches a change that breaks the benchmark (a renamed site, a rejected
 workload flag, a changed count) in the test suite rather than in a full
-benchmark run.  Untraced runs are not used here: their set-up probes fill a
-window this short, so no pass would run.
+benchmark run.  The traced work counts are pinned: a cache that skipped a
+traced call would lower them.  Untraced runs are not used here: their set-up
+probes fill a window this short, so no pass would run.
 """
 
 import json
@@ -17,6 +18,15 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
 WORKLOADS = ["protocol-coupler-n3", "adiabatic-continuous-n3", "resources-n8"]
+COUNTS = {
+    "protocol-coupler-n3": {"kernels.rotations": 72},
+    "adiabatic-continuous-n3": {
+        "kernels.rotations": 16764,
+        "compiler.gates": 93408,
+        "pauli.sum_ops": 7200,
+    },
+    "resources-n8": {"compiler.gates": 112896, "pauli.sum_ops": 2880},
+}
 
 
 @pytest.mark.parametrize("workload", WORKLOADS)
@@ -33,6 +43,9 @@ def test_traced_run_passes(workload):
     assert "coverage_errors" not in records[-2]
     assert records[-1]["attempted"] >= 1
     assert records[-1]["failed"] == 0
+    metrics = records[-1]["metrics"]
+    for name, count in COUNTS[workload].items():
+        assert metrics[name]["value"] == count, name
 
 
 def test_setup_probe_and_environment_record(monkeypatch):
