@@ -17,7 +17,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -56,12 +56,9 @@ class RunConfig:
     out: str | None = None
 
     def validate(self):
+        """What argparse cannot check; its ``choices`` cover mapping, method, format."""
         if self.sites < 1:
             raise ConfigError(f"--sites must be >= 1, got {self.sites}")
-        if self.mapping not in ("coupler", "continuous", "both"):
-            raise ConfigError(f"unknown mapping {self.mapping!r}")
-        if self.method not in ("braiding", "adiabatic", "both"):
-            raise ConfigError(f"unknown method {self.method!r}")
         gaps = {
             "--delta": self.delta,
             "--alpha": self.alpha,
@@ -84,8 +81,6 @@ class RunConfig:
             raise ConfigError(f"--reps must be >= 1, got {self.reps}")
         if self.steps is not None and not 0 <= self.steps <= 6:
             raise ConfigError(f"--steps must lie in [0, 6], got {self.steps}")
-        if self.fmt not in ("json", "csv"):
-            raise ConfigError(f"unknown format {self.fmt!r}")
         if self.out is not None:
             directory = os.path.dirname(self.out) or "."
             if not os.path.isdir(directory):
@@ -102,20 +97,14 @@ class RunConfig:
         )
 
     def echo(self) -> dict:
-        return {
-            "command": self.command,
-            "sites": self.sites,
-            "mapping": self.mapping,
-            "method": self.method,
-            "tau": _f(self.tau),
-            "trotter_steps": self.trotter_steps,
-            "reps": self.reps,
-            "steps": self.steps,
-            "delta": _f(self.delta),
-            "alpha": _f(self.alpha),
-            "tcoupling": _f(self.tcoupling),
-            "format": self.fmt,
-        }
+        """Every field but ``out``, floats through ``_f``, ``fmt`` as ``format``."""
+        echoed = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            echoed[f.name] = _f(value) if f.type == "float" else value
+        del echoed["out"]
+        echoed["format"] = echoed.pop("fmt")
+        return echoed
 
 
 def _f(value: float) -> float:
@@ -271,26 +260,16 @@ def _emit(config: RunConfig, payload, wall_time: float):
         }
         text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     else:
+        rows = payload  # resources: one row per report
+        if config.command != "resources":
+            scalar = (int, float, str)
+            rows = [{k: v for k, v in payload.items() if isinstance(v, scalar)}]
         buffer = io.StringIO()
-        if config.command == "resources":
-            writer = csv.writer(buffer, lineterminator="\n")
-            writer.writerow(["n", "method", "mapping", "two_qubit_count", "depth"])
-            for row in payload:
-                writer.writerow(
-                    [row["n"], row["method"], row["mapping"],
-                     row["two_qubit_count"], row["depth"]]
-                )
-        else:
-            scalars = {
-                k: v
-                for k, v in payload.items()
-                if isinstance(v, (int, float, bool, str))
-            }
-            writer = csv.writer(buffer, lineterminator="\n")
-            writer.writerow(list(scalars))
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerow(list(rows[0]))
+        for row in rows:
             writer.writerow(
-                [format(v, ".12g") if isinstance(v, float) and not isinstance(v, bool)
-                 else v for v in scalars.values()]
+                [format(v, ".12g") if isinstance(v, float) else v for v in row.values()]
             )
         text = buffer.getvalue()
     if config.out:

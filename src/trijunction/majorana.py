@@ -85,10 +85,13 @@ def normalize(m: MajoranaMonomial) -> MajoranaMonomial:
     return MajoranaMonomial(sign * m.coefficient, tuple(reduced))
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class MajoranaHamiltonian:
-    """Merged, normalised collection of quadratic monomials over n-site arms."""
+    """Merged, normalised collection of quadratic monomials over n-site arms;
+    equality is value equality on the canonically ordered terms and ``n``."""
 
-    __slots__ = ("terms", "n")
+    terms: tuple[MajoranaMonomial, ...]
+    n: int
 
     def __init__(self, terms: Iterable[MajoranaMonomial], n: int):
         merged: dict[tuple[MajoranaIndex, ...], complex] = {}
@@ -102,24 +105,11 @@ class MajoranaHamiltonian:
         object.__setattr__(self, "terms", tuple(kept))
         object.__setattr__(self, "n", n)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("MajoranaHamiltonian is immutable")
-
     def __len__(self) -> int:
         return len(self.terms)
 
     def as_multiset(self) -> dict[tuple[MajoranaIndex, ...], complex]:
         return {t.factors: t.coefficient for t in self.terms}
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, MajoranaHamiltonian)
-            and self.n == other.n
-            and self.as_multiset() == other.as_multiset()
-        )
-
-    def __hash__(self):
-        return hash((self.n, tuple(self.terms)))
 
     def __repr__(self) -> str:
         def fmt(t):

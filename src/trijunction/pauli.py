@@ -24,11 +24,13 @@ digit.  Among strings of one qubit count this is exactly the
 ``(weight, label())`` order, since 'I' < 'X' < 'Y' < 'Z' and the label writes
 qubit Q-1 first; it is built with integer operations only.
 
-All values are immutable; every operation is pure.
+All values are frozen, slotted dataclasses that copy and pickle; the cached
+``PauliString._key`` is not part of a value.  Every operation is pure.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -66,6 +68,7 @@ def _spread(mask: int) -> int:
     return out
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class PauliString:
     """One tensor product of single-qubit Paulis with a tracked i**k phase.
 
@@ -73,21 +76,22 @@ class PauliString:
     not part of the value, so equality and hashing ignore it.
     """
 
-    __slots__ = ("num_qubits", "x", "z", "phase_exp", "_key")
+    num_qubits: int
+    x: int
+    z: int
+    phase_exp: int
+    _key: tuple[int, int] | None = field(compare=False)
 
     def __init__(self, num_qubits: int, x: int = 0, z: int = 0, phase_exp: int = 0):
         if num_qubits < 0:
             raise ValueError("qubit count must be non-negative")
-        mask = (1 << num_qubits) - 1
-        if x & ~mask or z & ~mask:
+        if (x | z) >> num_qubits:
             raise ValueError("bitmask exceeds qubit count")
         object.__setattr__(self, "num_qubits", num_qubits)
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "z", z)
         object.__setattr__(self, "phase_exp", phase_exp & 3)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PauliString is immutable")
+        object.__setattr__(self, "_key", None)
 
     @classmethod
     def identity(cls, num_qubits: int) -> "PauliString":
@@ -102,7 +106,10 @@ class PauliString:
         for qubit, axis in axes.items():
             if not 0 <= qubit < num_qubits:
                 raise ValueError(f"qubit {qubit} out of range")
-            bx, bz = _BITS_OF_AXIS[axis.upper()]
+            try:
+                bx, bz = _BITS_OF_AXIS[axis.upper()]
+            except KeyError:
+                raise ValueError(f"unknown axis {axis!r} on qubit {qubit}") from None
             x |= bx << qubit
             z |= bz << qubit
         return cls(num_qubits, x, z, phase_exp)
@@ -147,30 +154,16 @@ class PauliString:
     def sort_key(self) -> tuple[int, int]:
         """(weight, base-4 axis code); the (weight, label()) order.  Computed
         on first use and kept."""
-        try:
-            return self._key
-        except AttributeError:
+        if (key := self._key) is None:
             key = (self.weight, _spread(self.x ^ self.z) | _spread(self.z) << 1)
             object.__setattr__(self, "_key", key)
-            return key
+        return key
 
     def to_matrix(self) -> np.ndarray:
         return to_matrix(self)
 
     def __mul__(self, other: "PauliString") -> "PauliString":
         return multiply(self, other)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, PauliString)
-            and self.num_qubits == other.num_qubits
-            and self.x == other.x
-            and self.z == other.z
-            and self.phase_exp == other.phase_exp
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.num_qubits, self.x, self.z, self.phase_exp))
 
     def __repr__(self) -> str:
         sign = ("+", "+i*", "-", "-i*")[self.phase_exp]
@@ -213,6 +206,7 @@ def to_matrix(s: PauliString) -> np.ndarray:
     return M
 
 
+@dataclass(frozen=True, slots=True, init=False, eq=False, repr=False)
 class PauliSum:
     """Real-weighted sum of phase-free Pauli strings (a Hermitian operator).
 
@@ -221,9 +215,11 @@ class PauliSum:
     axis code, which is the (weight, label) order; so any consumer iterating
     ``terms`` sees the same deterministic sequence.  Scaling by a Python int
     or float keeps the strings and their order, so it only scales and prunes.
+    Equality is identity: two sums with the same terms are not ``==``.
     """
 
-    __slots__ = ("num_qubits", "terms")
+    num_qubits: int
+    terms: tuple[tuple[float, PauliString], ...]
 
     def __init__(
         self, num_qubits: int, terms: Iterable[tuple[complex, PauliString]] = ()
@@ -246,9 +242,6 @@ class PauliSum:
         object.__setattr__(self, "num_qubits", num_qubits)
         object.__setattr__(self, "terms", tuple(kept))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("PauliSum is immutable")
-
     def __len__(self) -> int:
         return len(self.terms)
 
@@ -263,15 +256,10 @@ class PauliSum:
             return PauliSum(
                 self.num_qubits, ((scalar * c, s) for c, s in self.terms)
             )
+        terms = tuple((v, s) for c, s in self.terms if abs(v := scalar * c) > 1e-12)
         scaled = object.__new__(PauliSum)
         object.__setattr__(scaled, "num_qubits", self.num_qubits)
-        object.__setattr__(
-            scaled,
-            "terms",
-            tuple(
-                (v, s) for c, s in self.terms if abs(v := scalar * c) > 1e-12
-            ),
-        )
+        object.__setattr__(scaled, "terms", terms)
         return scaled
 
     __rmul__ = __mul__

@@ -1,5 +1,8 @@
 """Monomial normalisation, exchange conjugation and the protocol steps."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -186,3 +189,33 @@ def test_hamiltonian_merges_duplicate_terms():
     h = MajoranaHamiltonian([t, t], n=1)
     assert len(h) == 1
     assert h.terms[0].coefficient == 2j
+
+
+@pytest.mark.parametrize(
+    "trip",
+    [copy.copy, copy.deepcopy, lambda h: pickle.loads(pickle.dumps(h))],
+    ids=["copy", "deepcopy", "pickle"],
+)
+def test_trijunction_hamiltonian_copies_and_pickles_as_a_value(trip):
+    h = trijunction_h(Configuration(1, 2), TrijunctionParams(n=2))
+    t = trip(h)
+    assert t == h
+    assert hash(t) == hash(h)
+    assert t.as_multiset() == h.as_multiset()
+    assert t.n == h.n
+
+
+def test_hamiltonian_equality_is_value_equality_on_canonical_terms():
+    a = mono(1j, g(1, 0, "x"), g(2, 0, "x"))
+    b = mono(-0.5j, g(2, 0, "y"), g(1, 1, "x"))
+    h, same = MajoranaHamiltonian([a, b], n=2), MajoranaHamiltonian([b, a], n=2)
+    assert h == same and hash(h) == hash(same)
+    assert h != MajoranaHamiltonian([a, b], n=3)
+    assert h != MajoranaHamiltonian([a], n=2)
+
+
+def test_hamiltonian_fields_cannot_be_assigned():
+    h = MajoranaHamiltonian([mono(1j, g(1, 0, "x"), g(2, 0, "x"))], n=1)
+    for name in ("terms", "n"):
+        with pytest.raises(AttributeError):
+            setattr(h, name, getattr(h, name))

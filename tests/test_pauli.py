@@ -1,10 +1,14 @@
 """Pauli string algebra against the dense-matrix oracle."""
 
+import copy
+import pickle
 import random
 
 import numpy as np
 import pytest
 
+from trijunction.hamiltonians import Configuration, TrijunctionParams, trijunction_h
+from trijunction.mappings import coupler_layout, map_hamiltonian
 from trijunction.pauli import (
     DENSE_QUBIT_LIMIT,
     PauliString,
@@ -278,3 +282,101 @@ def test_cached_sort_key_matches_fresh_computation():
         for name in ("x", "_key"):
             with pytest.raises(AttributeError):
                 setattr(s, name, 0)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: PauliString.from_label("XA"),
+        lambda: PauliString.from_label("X Z"),
+        lambda: PauliString.from_axes(2, {0: "Q"}),
+    ],
+    ids=["XA", "X Z", "Q"],
+)
+def test_unknown_axis_raises_value_error(build):
+    with pytest.raises(ValueError, match="unknown axis .* on qubit"):
+        build()
+
+
+def test_lowercase_axes_are_accepted():
+    assert PauliString.from_label("xz") == PauliString.from_label("XZ")
+
+
+@pytest.mark.parametrize(
+    "args",
+    [(-1,), (0, 1), (2, 0b100), (2, 0, 0b1000), (2, -1), (2, 0, -2)],
+)
+def test_bad_qubit_count_or_bitmask_raises(args):
+    with pytest.raises(ValueError):
+        PauliString(*args)
+
+
+def test_bitmasks_filling_every_qubit_are_accepted():
+    s = PauliString(2, 0b11, 0b11)
+    assert s.label() == "YY"
+
+
+ROUND_TRIPS = {
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+    "pickle": lambda value: pickle.loads(pickle.dumps(value)),
+}
+
+
+def sample_strings():
+    """A string whose sort key is not computed yet, one whose key is, and a
+    phased one."""
+    fresh = PauliString.from_label("XYZI")
+    keyed = PauliString.from_label("ZZXY")
+    keyed.sort_key()
+    phased = PauliString.from_label("YX", phase_exp=3)
+    return [fresh, keyed, phased]
+
+
+@pytest.mark.parametrize("trip", ROUND_TRIPS)
+def test_strings_copy_and_pickle_as_values(trip):
+    for s in sample_strings():
+        t = ROUND_TRIPS[trip](s)
+        assert t == s
+        assert hash(t) == hash(s) == hash((s.num_qubits, s.x, s.z, s.phase_exp))
+        assert t.sort_key() == s.sort_key()
+        assert repr(t) == repr(s)
+
+
+@pytest.mark.parametrize("trip", ROUND_TRIPS)
+def test_mapped_sum_copies_and_pickles_bitwise(trip):
+    params = TrijunctionParams(n=2)
+    h = map_hamiltonian(trijunction_h(Configuration(1, 2), params), coupler_layout(2))
+    assert len(h) > 0
+    t = ROUND_TRIPS[trip](h)
+    assert t.num_qubits == h.num_qubits
+    assert bits(t.terms) == bits(h.terms)
+
+
+def test_hash_is_the_value_tuple_with_reduced_phase():
+    for exp in range(-4, 8):
+        s = PauliString(3, 0b101, 0b110, exp)
+        assert s.phase_exp == exp & 3
+        assert hash(s) == hash((3, 0b101, 0b110, exp & 3))
+
+
+def test_pauli_sum_equality_is_identity():
+    h = random_sum(random.Random(10), 3, 6)
+    twin = PauliSum(3, h.terms)
+    assert bits(twin.terms) == bits(h.terms)
+    assert h == h
+    assert h != twin
+
+
+@pytest.mark.parametrize(
+    "value, names",
+    [
+        (PauliString.from_label("XZ"), ("num_qubits", "x", "z", "phase_exp", "_key")),
+        (PauliSum(1, [(1.0, PauliString.from_label("Z"))]), ("num_qubits", "terms")),
+    ],
+    ids=["PauliString", "PauliSum"],
+)
+def test_fields_cannot_be_assigned(value, names):
+    for name in names:
+        with pytest.raises(AttributeError):
+            setattr(value, name, getattr(value, name))

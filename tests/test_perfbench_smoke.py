@@ -18,14 +18,31 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
 WORKLOADS = ["protocol-coupler-n3", "adiabatic-continuous-n3", "resources-n8"]
+# ``mappings.map_reuse`` hashes (MajoranaHamiltonian, layout) pairs and
+# ``pauli.interp_dup`` hashes PauliSum term tuples, so these two also pin
+# the equality and hashing of the value types.
 COUNTS = {
-    "protocol-coupler-n3": {"kernels.rotations": 72},
+    "protocol-coupler-n3": {
+        "kernels.rotations": 72,
+        "mappings.map_calls": 2,
+        "mappings.map_reuse": 0.5,
+        "pauli.interp_dup": 0.0,
+    },
     "adiabatic-continuous-n3": {
         "kernels.rotations": 16764,
         "compiler.gates": 93408,
         "pauli.sum_ops": 7200,
+        "mappings.map_calls": 7,
+        "mappings.map_reuse": 3 / 7,
+        "pauli.interp_dup": 4.0,
     },
-    "resources-n8": {"compiler.gates": 112896, "pauli.sum_ops": 2880},
+    "resources-n8": {
+        "compiler.gates": 112896,
+        "pauli.sum_ops": 2880,
+        "mappings.map_calls": 48,
+        "mappings.map_reuse": 1.0,
+        "pauli.interp_dup": 2.0,
+    },
 }
 
 
