@@ -346,18 +346,10 @@ def main(argv: list[str] | None = None) -> int:
                         f"--{name.replace('_', '-')} is not read by --method braiding"
                     )
         config.validate()
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    start = time.perf_counter()
-    try:
+        start = time.perf_counter()
         payload, ok = _COMMANDS[config.command](config)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
         _emit(config, payload, time.perf_counter() - start)
-    except ConfigError as exc:
+    except ValueError as exc:  # ConfigError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0 if ok else 1

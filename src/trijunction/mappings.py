@@ -15,6 +15,7 @@ squares-to-identity strings.  The coupler register carries the algebra twice
 over: the three ``gauge_operator`` strings commute with every mapped mode and
 generate the redundancy, so each mapped spectrum is doubled relative to the
 continuous one (restricting to a fixed gauge sector recovers it exactly).
+Every string is computed directly as its two bitmasks (``trijunction.pauli``).
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from .majorana import ExchangeOperator, MajoranaHamiltonian, MajoranaIndex, Majo
 from .pauli import PauliString, PauliSum, multiply
 
 __all__ = [
-    "COUPLER_AXES",
     "QubitLayout",
     "continuous_layout",
     "coupler_layout",
@@ -38,7 +38,10 @@ __all__ = [
     "map_monomial",
 ]
 
-COUPLER_AXES = {1: "X", 2: "Y", 3: "Z"}
+# (x, z) bits of a site Pauli by orientation (x -> X, y -> Y) and of the
+# coupler Pauli by arm (1 -> X, 2 -> Y, 3 -> Z).
+_SITE_BITS = {"x": (1, 0), "y": (1, 1)}
+_COUPLER_BITS = {1: (1, 0), 2: (1, 1), 3: (0, 1)}
 
 
 @dataclass(frozen=True)
@@ -84,18 +87,17 @@ def layout_for(kind: str, n: int) -> QubitLayout:
 
 def map_majorana(m: MajoranaIndex, layout: QubitLayout) -> PauliString:
     """Pauli string of one mode; always phase +1."""
-    axes = {}
-    if layout.kind == "coupler":
-        axes[layout.coupler_qubit] = COUPLER_AXES[m.arm]
-        axes[layout.qubit(m.arm, m.site)] = m.orientation.upper()
-        for i in range(m.site):
-            axes[layout.qubit(m.arm, i)] = "Z"
-    else:
-        g = layout.qubit(m.arm, m.site)
-        axes[g] = m.orientation.upper()
-        for i in range(g):
-            axes[i] = "Z"
-    return PauliString.from_axes(layout.total_qubits, axes)
+    if m.orientation not in _SITE_BITS:
+        raise ValueError(f"orientation must be 'x' or 'y', got {m.orientation}")
+    sx, sz = _SITE_BITS[m.orientation]
+    q = layout.qubit(m.arm, m.site)
+    if layout.kind == "continuous":
+        return PauliString(layout.total_qubits, sx << q, (sz << q) | ((1 << q) - 1))
+    # Z chain from the arm's first qubit up to q, then the arm's coupler bits
+    cx, cz = _COUPLER_BITS[m.arm]
+    c = layout.coupler_qubit
+    z = (sz << q) | ((1 << q) - (1 << (q - m.site))) | (cz << c)
+    return PauliString(layout.total_qubits, (sx << q) | (cx << c), z)
 
 
 def map_monomial(
@@ -120,13 +122,11 @@ def gauge_operator(layout: QubitLayout, arm: int) -> PauliString:
     Commutes with every mapped mode; the three of them (one per arm) close the
     redundancy algebra of the coupler register.
     """
-    axes = {layout.coupler_qubit: COUPLER_AXES[arm]}
-    for other in (1, 2, 3):
-        if other == arm:
-            continue
-        for site in range(layout.n):
-            axes[layout.qubit(other, site)] = "Z"
-    return PauliString.from_axes(layout.total_qubits, axes)
+    c = layout.coupler_qubit
+    arm_sites = ((1 << layout.n) - 1) << layout.qubit(arm, 0)
+    cx, cz = _COUPLER_BITS[arm]
+    other_sites = ((1 << 3 * layout.n) - 1) ^ arm_sites
+    return PauliString(layout.total_qubits, cx << c, (cz << c) | other_sites)
 
 
 def exchange_rotation(

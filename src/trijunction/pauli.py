@@ -13,7 +13,8 @@ Hermitian exactly when its phase is +-1 (``phase_exp`` even).
 
 Qubit 0 is the rightmost factor in ket labels |q_{Q-1} ... q_1 q_0>, and bit b
 of a basis index is qubit b.  Labels returned by :meth:`PauliString.label` are
-written in the same ket order.
+written in the same ket order.  :meth:`PauliString.from_label` is the one
+parser of axis letters; every other constructor takes the bitmasks.
 
 Order
 -----
@@ -31,7 +32,7 @@ All values are frozen, slotted dataclasses that copy and pickle; the cached
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Iterable
 
 import numpy as np
 
@@ -98,27 +99,19 @@ class PauliString:
         return cls(num_qubits)
 
     @classmethod
-    def from_axes(
-        cls, num_qubits: int, axes: Mapping[int, str], phase_exp: int = 0
-    ) -> "PauliString":
-        """Build from a {qubit: axis} mapping, axis in 'IXYZ'."""
-        x = z = 0
-        for qubit, axis in axes.items():
-            if not 0 <= qubit < num_qubits:
-                raise ValueError(f"qubit {qubit} out of range")
-            try:
-                bx, bz = _BITS_OF_AXIS[axis.upper()]
-            except KeyError:
-                raise ValueError(f"unknown axis {axis!r} on qubit {qubit}") from None
-            x |= bx << qubit
-            z |= bz << qubit
-        return cls(num_qubits, x, z, phase_exp)
-
-    @classmethod
     def from_label(cls, label: str, phase_exp: int = 0) -> "PauliString":
-        """Build from a ket-ordered label, leftmost character = qubit Q-1."""
-        axes = {len(label) - 1 - i: ch for i, ch in enumerate(label)}
-        return cls.from_axes(len(label), axes, phase_exp)
+        """Build from a ket-ordered label, leftmost character = qubit Q-1; the
+        one parser of axis letters ('IXYZ', either case)."""
+        x = z = 0
+        for i, ch in enumerate(label):
+            try:
+                bx, bz = _BITS_OF_AXIS[ch.upper()]
+            except KeyError:
+                qubit = len(label) - 1 - i
+                raise ValueError(f"unknown axis {ch!r} on qubit {qubit}") from None
+            x = (x << 1) | bx
+            z = (z << 1) | bz
+        return cls(len(label), x, z, phase_exp)
 
     def axis(self, qubit: int) -> str:
         return _AXIS_OF_BITS[((self.x >> qubit) & 1, (self.z >> qubit) & 1)]

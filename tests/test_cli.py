@@ -259,3 +259,20 @@ def test_module_entry_point(argv, code):
     else:
         assert done.stdout == ""
         assert "--sites" in done.stderr
+
+
+def test_package_import_loads_no_submodule():
+    # The package namespace holds only ``__version__``; every other name is
+    # imported from its own module.
+    env = dict(os.environ, PYTHONPATH=str(Path(trijunction.__file__).parents[1]))
+    code = (
+        "import sys, trijunction; "
+        "print(sorted(m for m in sys.modules if m.startswith('trijunction.')))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
+    assert trijunction.__version__ == "0.1.0"

@@ -81,6 +81,49 @@ def test_continuous_map_z_tail_spans_previous_arms():
 def test_invalid_mode_raises():
     with pytest.raises(ValueError):
         map_majorana(g(1, 5, "x"), coupler_layout(2))
+    with pytest.raises(ValueError):
+        map_majorana(g(4, 0, "x"), coupler_layout(2))
+    with pytest.raises(ValueError):
+        gauge_operator(coupler_layout(2), 4)
+
+
+@pytest.mark.parametrize("kind", ["coupler", "continuous"])
+@pytest.mark.parametrize("orientation", ["z", "i", "X"])
+def test_orientation_other_than_x_or_y_raises(kind, orientation):
+    with pytest.raises(ValueError, match="orientation must be 'x' or 'y'"):
+        map_majorana(g(1, 1, orientation), QubitLayout(kind, 2))
+
+
+def letter_rule_mode(m, layout):
+    """Reference: coupler letter of the arm, site letter, Z chain below the site
+    (within the arm on the coupler layout, over all lower qubits otherwise)."""
+    axes = ["I"] * layout.total_qubits
+    q = (m.arm - 1) * layout.n + m.site
+    first = q - m.site if layout.kind == "coupler" else 0
+    axes[first:q] = ["Z"] * (q - first)
+    axes[q] = m.orientation.upper()
+    if layout.kind == "coupler":
+        axes[3 * layout.n] = "XYZ"[m.arm - 1]
+    return PauliString.from_label("".join(reversed(axes)))
+
+
+def letter_rule_gauge(layout, arm):
+    """Reference: coupler letter of ``arm``, Z on every site of the other arms."""
+    axes = ["Z"] * (3 * layout.n) + ["XYZ"[arm - 1]]
+    first = (arm - 1) * layout.n
+    axes[first:first + layout.n] = ["I"] * layout.n
+    return PauliString.from_label("".join(reversed(axes)))
+
+
+@pytest.mark.parametrize("kind", ["coupler", "continuous"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_mode_and_gauge_strings_match_the_letter_rule(kind, n):
+    layout = QubitLayout(kind, n)
+    for m in all_modes(n):
+        assert map_majorana(m, layout) == letter_rule_mode(m, layout)
+    if kind == "coupler":
+        for arm in (1, 2, 3):
+            assert gauge_operator(layout, arm) == letter_rule_gauge(layout, arm)
 
 
 @pytest.mark.parametrize("kind", ["coupler", "continuous"])
