@@ -131,10 +131,6 @@ class PauliString:
     def is_identity(self) -> bool:
         return self.x == 0 and self.z == 0
 
-    @property
-    def is_hermitian(self) -> bool:
-        return self.phase_exp % 2 == 0
-
     def support(self) -> tuple[int, ...]:
         bits = self.x | self.z
         return tuple(q for q in range(self.num_qubits) if (bits >> q) & 1)

@@ -3,9 +3,11 @@
 States are plain complex128 arrays of length 2^Q treated as values: every
 operation returns a fresh array and preserves the norm to better than 1e-12.
 Exchange unitaries and Trotter factors are single Pauli rotations and go
-through the numpy rotation kernel; dense propagators and ground spaces use full
-eigendecompositions (desk-scale, up to ``DENSE_QUBIT_LIMIT`` qubits), in real
-arithmetic whenever the Hamiltonian's matrix is real.
+through the numpy rotation kernel.  Ground spaces are diagonalised one parity
+and gauge sector at a time, in blocks of 2^Q/2 (continuous) or 2^Q/4 (coupler)
+rows; only the exact-evolution oracle takes a full eigendecomposition.  Both
+start from the dense matrix (desk-scale, up to ``DENSE_QUBIT_LIMIT`` qubits),
+in real arithmetic whenever it is real.
 
 A braid is projected through its action on the two ground columns: the
 exchange rotations are applied to the 2^Q x 2 ground basis G and the 2 x 2
@@ -26,6 +28,7 @@ basis-independent.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -44,7 +47,7 @@ from .hamiltonians import (
 )
 from .majorana import ExchangeOperator, braid_exchanges
 from .mappings import QubitLayout, exchange_rotation, gauge_operator, map_hamiltonian, map_monomial
-from .pauli import DENSE_QUBIT_LIMIT, PauliString, PauliSum
+from .pauli import DENSE_QUBIT_LIMIT, PauliString, PauliSum, commutes, multiply
 
 __all__ = [
     "BraidReport",
@@ -52,7 +55,6 @@ __all__ = [
     "apply_braid",
     "apply_exchange",
     "apply_rotation",
-    "basis_state",
     "braid_unitary",
     "evolve_exact",
     "fidelity",
@@ -66,12 +68,6 @@ __all__ = [
 ]
 
 DEGENERACY_ATOL = 1e-8  # energy window of the degenerate ground level
-
-
-def basis_state(num_qubits: int, index: int = 0) -> np.ndarray:
-    psi = np.zeros(1 << num_qubits, dtype=np.complex128)
-    psi[index] = 1.0
-    return psi
 
 
 def fidelity(a: np.ndarray, b: np.ndarray) -> float:
@@ -148,28 +144,16 @@ def _fix_phase(v: np.ndarray) -> np.ndarray:
     return v * (lead.conjugate() / abs(lead))
 
 
-def _eigenspace_slice(
-    B: np.ndarray, op: tuple[float, PauliString], target: float, tol: float = 1e-6
-) -> np.ndarray:
-    """Columns of span(B) with eigenvalue ``target`` under the restricted op."""
-    sign, string = op
-    OB = sign * kernels.apply_string_to_matrix(
-        B, string.num_qubits, string.x, string.z, string.phase_exp
-    )
-    R = B.conj().T @ OB
-    w, V = np.linalg.eigh(R)
-    keep = np.abs(w - target) < tol
-    return B @ V[:, keep]
+def _dense_matrix(h: PauliSum) -> np.ndarray:
+    """Dense matrix of ``h``, as a real array when every string has an even
+    number of Y factors: a phase-free Pauli string is real exactly then."""
+    H = h.to_matrix()
+    return H.real if all((s.x & s.z).bit_count() % 2 == 0 for _, s in h.terms) else H
 
 
 def _dense_eigh(h: PauliSum) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of the dense matrix of ``h``, in real arithmetic
-    when that matrix is real: a phase-free Pauli string is real exactly when
-    it has an even number of Y factors, and the coefficients are real."""
-    H = h.to_matrix()
-    if all((string.x & string.z).bit_count() % 2 == 0 for _, string in h.terms):
-        H = H.real
-    return np.linalg.eigh(H)
+    """Full eigendecomposition of the dense matrix of ``h`` (the evolution oracle)."""
+    return np.linalg.eigh(_dense_matrix(h))
 
 
 def ground_space(
@@ -178,25 +162,64 @@ def ground_space(
     """Two lowest eigenvectors of ``h`` under the documented basis convention.
 
     ``parity`` is a (sign, string) pair for the conserved zero-mode operator;
-    ``gauge`` restricts to its redundancy slice on the coupler layout.
+    ``gauge`` restricts to its redundancy slice on the coupler layout.  Both
+    must commute with every term of ``h`` and with each other.  H is
+    diagonalised one joint eigenvalue sector of them at a time, with one basis
+    vector per orbit of basis states under their X masks: the sector projector
+    applied to the orbit's smallest index (Sandvik, arXiv:1101.3281, sec. 4).
     """
-    evals, evecs = _dense_eigh(h)
-    cluster = evals <= evals[0] + DEGENERACY_ATOL
-    B = evecs[:, cluster]
-    if B.shape[1] < 2:
+    symmetries = [parity] + ([(1.0, gauge)] if gauge is not None else [])
+    for name, (_, s) in zip(("parity", "gauge"), symmetries):
+        for _, other in (*h.terms, *symmetries):
+            if not commutes(s, other):
+                raise ValueError(
+                    f"{name} string {s.label()} is not conserved: "
+                    f"it anticommutes with {other.label()}"
+                )
+    H = _dense_matrix(h)
+    group = [PauliString.identity(h.num_qubits)]  # element m: the S_j with bit j in m
+    for _, s in symmetries:
+        group += [multiply(g, s) for g in group]
+    span = list(dict.fromkeys(g.x for g in group))
+    idx = np.arange(1 << h.num_qubits)
+    rep = idx[np.min([idx ^ a for a in span], axis=0) == idx]
+    spectra, ground = [], {}
+    for pattern in itertools.product((1.0, -1.0), repeat=len(symmetries)):
+        chars = [1.0]  # element m: the t_j * c_j with bit j in m
+        for t, (c, _) in zip(pattern, symmetries):
+            chars += [d * t * c for d in chars]
+        # prod_j (1 + t_j c_j S_j)|rep[o]> has amplitude C[o, a] on rep[o] ^ span[a]
+        C = np.zeros((len(rep), len(span)), dtype=np.complex128)
+        for g, chi in zip(group, chars):
+            phases = kernels.pauli_action_phases(h.num_qubits, g.x, g.z, g.phase_exp)
+            C[:, span.index(g.x)] += chi * phases[rep]
+        C = C if C.imag.any() else C.real  # B stays real when H is
+        norms = np.linalg.norm(C, axis=1)
+        keep = norms > 0.5  # a row of Gaussian integers is 0 or has norm >= 1
+        C, rows = C[keep] / norms[keep, None], rep[keep, None] ^ np.array(span)
+        B = sum(
+            C[:, a].conj()[:, None] * H[np.ix_(rows[:, a], rows[:, b])] * C[:, b]
+            for a in range(len(span))
+            for b in range(len(span))
+        )
+        if len(set(pattern)) == 1:  # the (+, +) and (-, -) sectors are lifted
+            w, V = np.linalg.eigh(B)
+            ground[pattern[0]] = (w, rows, V[:, :1] * C)
+        else:
+            w = np.linalg.eigvalsh(B)
+        spectra.append(w)
+    levels = np.sort(np.concatenate(spectra))
+    top = levels[0] + DEGENERACY_ATOL
+    if np.count_nonzero(levels <= top) < 2:
         raise ValueError("ground level is not degenerate")
-    cols = []
-    for target in (1.0, -1.0):
-        sub = _eigenspace_slice(B, parity, target)
-        if gauge is not None:
-            sub = _eigenspace_slice(sub, (1.0, gauge), target)
-        if sub.shape[1] != 1:
-            raise ValueError(
-                f"parity/gauge slice has dimension {sub.shape[1]}, expected 1"
-            )
-        cols.append(sub[:, 0])
-    G = np.stack([_fix_phase(c) for c in cols], axis=1)
-    return GroundSpace(G, evals[:2].copy())
+    G = np.zeros((len(idx), 2), dtype=np.complex128)
+    for col, target in enumerate((1.0, -1.0)):
+        w, rows, amps = ground[target]
+        if (dim := np.count_nonzero(w <= top)) != 1:
+            raise ValueError(f"parity/gauge slice has dimension {dim}, expected 1")
+        G[rows, col] = amps
+        G[:, col] = _fix_phase(G[:, col])
+    return GroundSpace(G, levels[:2].copy())
 
 
 def trijunction_ground_space(

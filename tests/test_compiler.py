@@ -186,14 +186,15 @@ def test_braiding_circuit_matches_simulator_unitary(kind):
 @pytest.mark.parametrize("kind", ["coupler", "continuous"])
 @pytest.mark.parametrize("reps", [1, 2])
 def test_adiabatic_circuit_matches_trotterized_state_path(kind, reps):
-    from trijunction.simulator import basis_state, trotter_adiabatic
+    from trijunction.simulator import trotter_adiabatic
 
     layout = layout_for(kind, 1)
     params = TrijunctionParams(n=1)
     tau, substeps = 0.7, 2
     circuit = compile_adiabatic(layout, params, tau, substeps, reps)
     U = circuit_unitary(circuit)
-    psi = basis_state(layout.total_qubits, 3)
+    psi = np.zeros(1 << layout.total_qubits, dtype=complex)
+    psi[3] = 1.0
     from trijunction.hamiltonians import schedule
 
     expected = psi

@@ -15,7 +15,7 @@ from trijunction.hamiltonians import (
 )
 from trijunction.majorana import MajoranaIndex
 from trijunction.mappings import continuous_layout, coupler_layout, map_hamiltonian
-from trijunction.simulator import basis_state, trotter_adiabatic
+from trijunction.simulator import trotter_adiabatic
 
 
 def g(arm, site, orientation):
@@ -112,7 +112,8 @@ def test_schedule_rejects_bad_tau():
     params = TrijunctionParams(n=1)
     layout = continuous_layout(1)
     h = map_hamiltonian(trijunction_h(Configuration(1, 2), params), layout)
-    psi = basis_state(layout.total_qubits)
+    psi = np.zeros(1 << layout.total_qubits, dtype=complex)
+    psi[0] = 1.0
     for tau in (0.0, -1.0):
         with pytest.raises(ValueError, match="step duration"):
             trotter_adiabatic(psi, h, h, tau, 1)

@@ -3,12 +3,19 @@
 import numpy as np
 import pytest
 
-from trijunction.hamiltonians import Configuration, TrijunctionParams, trijunction_h
+from trijunction.hamiltonians import (
+    PROTOCOL_CONFIGS,
+    Configuration,
+    TrijunctionParams,
+    trijunction_h,
+    zero_mode_pair,
+)
 from trijunction.majorana import braid_exchanges, conjugate_monomial
 from trijunction.mappings import (
     continuous_layout,
     coupler_layout,
     exchange_rotation,
+    gauge_operator,
     layout_for,
     map_hamiltonian,
     map_monomial,
@@ -19,7 +26,6 @@ from trijunction.simulator import (
     apply_braid,
     apply_exchange,
     apply_rotation,
-    basis_state,
     braid_unitary,
     evolve_exact,
     fidelity,
@@ -212,20 +218,97 @@ def test_braid_columns_must_match_the_register():
         braid_unitary(layout, 3, np.ones(16, dtype=complex))
 
 
+def assert_matches_full_spectrum(config, layout, params):
+    """Compare the ground space with the answer of one eigendecomposition of
+    the whole complex matrix: the lowest cluster, sliced by parity and then
+    by gauge eigenvalue, each column's first significant amplitude made real
+    positive."""
+    h = map_hamiltonian(trijunction_h(config, params), layout)
+    sign, string = map_monomial(zero_mode_pair(config, params.n), layout)
+    symmetries = [(sign.real, string)]
+    if layout.kind == "coupler":
+        symmetries.append((1.0, gauge_operator(layout, config.c)))
+    evals, evecs = np.linalg.eigh(h.to_matrix())
+    cluster = evecs[:, evals <= evals[0] + 1e-8]
+    cols = []
+    for target in (1.0, -1.0):
+        sub = cluster
+        for c, s in symmetries:
+            w, V = np.linalg.eigh(sub.conj().T @ (c * to_matrix(s)) @ sub)
+            sub = sub @ V[:, np.abs(w - target) < 1e-6]
+        assert sub.shape[1] == 1
+        v = sub[:, 0]
+        lead = v[np.flatnonzero(np.abs(v) > 1e-8 * np.abs(v).max())[0]]
+        cols.append(v * lead.conjugate() / abs(lead))
+    gs = trijunction_ground_space(config, params, layout)
+    np.testing.assert_allclose(gs.basis, np.stack(cols, axis=1), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(gs.energies, evals[:2], rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("gaps", [{}, dict(delta=0.5, alpha=1.75, t_junction=1.25)])
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("kind", ["coupler", "continuous"])
+@pytest.mark.parametrize("config", PROTOCOL_CONFIGS)
+def test_sector_ground_space_matches_full_spectrum(config, kind, n, gaps):
+    """The arm-1 and arm-2 gauges flip the coupler qubit and the arm-3 gauge
+    is diagonal, so both kinds of symmetry orbit are covered."""
+    params = TrijunctionParams(n=n, **gaps)
+    assert_matches_full_spectrum(config, layout_for(kind, n), params)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("scale", [0.5, 2.0])
-def test_real_eigh_ground_space_matches_complex(monkeypatch, n, scale):
+def test_real_eigh_ground_space_matches_complex(n, scale):
+    """The coupler matrix is real, so its sector blocks are solved in real
+    arithmetic; the complex full-spectrum answer agrees."""
     layout = coupler_layout(n)
     params = TrijunctionParams(n=n, delta=scale, alpha=scale, t_junction=scale)
     h = map_hamiltonian(trijunction_h(CONFIG_12, params), layout)
-    assert simulator._dense_eigh(h)[1].dtype == np.float64
-    real = trijunction_ground_space(CONFIG_12, params, layout)
-    monkeypatch.setattr(
-        simulator, "_dense_eigh", lambda h: np.linalg.eigh(h.to_matrix())
-    )
-    ref = trijunction_ground_space(CONFIG_12, params, layout)
-    np.testing.assert_allclose(real.basis, ref.basis, rtol=0, atol=1e-10)
-    np.testing.assert_allclose(real.energies, ref.energies, rtol=0, atol=1e-10)
+    assert simulator._dense_matrix(h).dtype == np.float64
+    assert_matches_full_spectrum(CONFIG_12, layout, params)
+
+
+@pytest.mark.parametrize("kind,blocks", [("coupler", 4), ("continuous", 2)])
+def test_ground_space_never_diagonalises_the_full_matrix(monkeypatch, kind, blocks):
+    """Each symmetry string halves the largest matrix handed to the
+    eigensolver: one string on the continuous layout, two on the coupler."""
+    shapes = []
+
+    def recording(solve):
+        def wrapped(a, *args, **kwargs):
+            shapes.append(a.shape)
+            return solve(a, *args, **kwargs)
+
+        return wrapped
+
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, recording(getattr(np.linalg, name)))
+    layout = layout_for(kind, 3)
+    trijunction_ground_space(CONFIG_12, TrijunctionParams(n=3), layout)
+    assert shapes
+    assert max(rows for rows, _ in shapes) <= (1 << layout.total_qubits) // blocks
+
+
+def test_ground_space_rejects_a_parity_that_is_not_conserved():
+    h = PauliSum(2, [(1.0, PauliString.from_label("ZZ"))])
+    with pytest.raises(ValueError, match="parity string XI is not conserved"):
+        ground_space(h, parity=(1.0, PauliString.from_label("XI")))
+
+
+def test_ground_space_rejects_a_gauge_that_is_not_conserved():
+    h = PauliSum(2, [(1.0, PauliString.from_label("ZZ"))])
+    with pytest.raises(ValueError, match="parity string XX .* anticommutes with ZI"):
+        ground_space(
+            h,
+            parity=(1.0, PauliString.from_label("XX")),
+            gauge=PauliString.from_label("ZI"),
+        )
+    with pytest.raises(ValueError, match="gauge string IX .* anticommutes with ZZ"):
+        ground_space(
+            h,
+            parity=(1.0, PauliString.from_label("ZI")),
+            gauge=PauliString.from_label("IX"),
+        )
 
 
 def test_odd_y_hamiltonian_keeps_complex_eigh():
@@ -368,10 +451,10 @@ def test_fidelity_properties():
     b = random_state(rng, 3)
     assert fidelity(a, a) == pytest.approx(1.0)
     assert fidelity(a, b) == pytest.approx(fidelity(b, a))
-    e0, e1 = basis_state(3, 0), basis_state(3, 1)
+    e0, e1 = np.eye(8, 2, dtype=complex).T
     assert fidelity(e0, e1) == 0.0
     with pytest.raises(ValueError):
-        fidelity(basis_state(2), basis_state(3))
+        fidelity(np.eye(4)[0], e0)
 
 
 def test_norm_preserved_along_full_protocol():
