@@ -142,9 +142,8 @@ def cmd_verify(config: RunConfig) -> tuple[dict, bool]:
     results: dict = {"ground_energies": [_f(e) for e in gs.energies]}
     ok = True
 
-    def add_report(tag: str, steps: int):
+    def add_report(tag: str, steps: int, UG: np.ndarray):
         nonlocal ok
-        UG = simulator.braid_unitary(layout, steps, gs.basis)
         report = simulator.project_braid(UG, gs)
         results[f"dphi_{tag}"] = _f(report.dphi)
         results[f"ugs_{tag}"] = _complex_matrix(report.ugs)
@@ -159,10 +158,13 @@ def cmd_verify(config: RunConfig) -> tuple[dict, bool]:
             ok = ok and passed
 
     if config.steps is None:
-        add_report("single", 3)
-        add_report("double", 6)
+        single = simulator.braid_unitary(layout, 3, gs.basis)
+        add_report("single", 3, single)
+        # steps 4-6 repeat steps 1-3, so the double braid is the single one twice
+        add_report("double", 6, simulator.braid_unitary(layout, 3, single))
     else:
-        add_report(f"steps{config.steps}", config.steps)
+        UG = simulator.braid_unitary(layout, config.steps, gs.basis)
+        add_report(f"steps{config.steps}", config.steps, UG)
 
     chain = _conjugation_cycle(config.sites)
     results["conjugation_chain"] = chain

@@ -254,14 +254,16 @@ class PauliSum:
     __rmul__ = __mul__
 
     def to_matrix(self) -> np.ndarray:
+        """Dense matrix, real exactly when every string has an even Y count."""
         if self.num_qubits > DENSE_QUBIT_LIMIT:
             raise ValueError(f"dense realisation limited to {DENSE_QUBIT_LIMIT} qubits")
         dim = 1 << self.num_qubits
-        M = np.zeros((dim, dim), dtype=np.complex128)
+        real = all((s.x & s.z).bit_count() % 2 == 0 for _, s in self.terms)
+        M = np.zeros((dim, dim), dtype=np.float64 if real else np.complex128)
         idx = np.arange(dim)
         for coeff, string in self.terms:
             w = pauli_action_phases(self.num_qubits, string.x, string.z, 0)
-            M[idx ^ string.x, idx] += coeff * w
+            M[idx ^ string.x, idx] += coeff * (w.real if real else w)
         return M
 
     def __repr__(self) -> str:

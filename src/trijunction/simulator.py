@@ -3,11 +3,11 @@
 States are plain complex128 arrays of length 2^Q treated as values: every
 operation returns a fresh array and preserves the norm to better than 1e-12.
 Exchange unitaries and Trotter factors are single Pauli rotations and go
-through the numpy rotation kernel.  Ground spaces are diagonalised one parity
-and gauge sector at a time, in blocks of 2^Q/2 (continuous) or 2^Q/4 (coupler)
-rows; only the exact-evolution oracle takes a full eigendecomposition.  Both
-start from the dense matrix (desk-scale, up to ``DENSE_QUBIT_LIMIT`` qubits),
-in real arithmetic whenever it is real.
+through the numpy rotation kernel.  A ground space takes one eigensolve, of
+its parity +1 (and gauge +1) sector, 2^Q/2 (continuous) or 2^Q/4 (coupler)
+rows; the unpaired Majorana mode maps the result to its partner.  Only the
+exact-evolution oracle diagonalises all of H.  Both start from the dense
+matrix (up to ``DENSE_QUBIT_LIMIT`` qubits), which is real whenever H is.
 
 A braid is projected through its action on the two ground columns: the
 exchange rotations are applied to the 2^Q x 2 ground basis G and the 2 x 2
@@ -17,18 +17,17 @@ only as a test oracle.
 Ground-space convention
 -----------------------
 Within the degenerate lowest eigenspace the returned basis diagonalises the
-mapped zero-mode pair operator ("parity"): column 0 has parity +1, column 1
-parity -1, each with its first significant amplitude made real positive.
-There is no parity-free form.  On the coupler layout the lowest eigenspace is
-four-dimensional (the gauge redundancy doubles it); there the slice with gauge
-eigenvalue equal to the parity eigenvalue is selected, which is the slice
-containing the reference single-site ground pair.  Reported braid phases are
-basis-independent.
+mapped zero-mode pair operator ("parity"): column 0 has parity +1 and column
+1, the free mode y_{b,n-1} applied to column 0, parity -1; each has its first
+significant amplitude made real positive.  There is no parity-free form.  On
+the coupler layout the lowest eigenspace is four-dimensional (the gauge
+redundancy doubles it); column 0 has gauge +1 and the flip carries the arm-a
+gauge string, so column 1 has gauge -1: the slice containing the reference
+single-site ground pair.  Reported braid phases are basis-independent.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -46,7 +45,7 @@ from .hamiltonians import (
     zero_mode_pair,
 )
 from .majorana import ExchangeOperator, braid_exchanges
-from .mappings import QubitLayout, exchange_rotation, gauge_operator, map_hamiltonian, map_monomial
+from .mappings import QubitLayout, exchange_rotation, gauge_operator, map_hamiltonian, map_majorana, map_monomial
 from .pauli import DENSE_QUBIT_LIMIT, PauliString, PauliSum, commutes, multiply
 
 __all__ = [
@@ -144,29 +143,23 @@ def _fix_phase(v: np.ndarray) -> np.ndarray:
     return v * (lead.conjugate() / abs(lead))
 
 
-def _dense_matrix(h: PauliSum) -> np.ndarray:
-    """Dense matrix of ``h``, as a real array when every string has an even
-    number of Y factors: a phase-free Pauli string is real exactly then."""
-    H = h.to_matrix()
-    return H.real if all((s.x & s.z).bit_count() % 2 == 0 for _, s in h.terms) else H
-
-
-def _dense_eigh(h: PauliSum) -> tuple[np.ndarray, np.ndarray]:
-    """Full eigendecomposition of the dense matrix of ``h`` (the evolution oracle)."""
-    return np.linalg.eigh(_dense_matrix(h))
-
-
 def ground_space(
-    h: PauliSum, parity: tuple[float, PauliString], gauge: PauliString | None = None
+    h: PauliSum,
+    parity: tuple[float, PauliString],
+    flip: PauliString,
+    gauge: PauliString | None = None,
 ) -> GroundSpace:
-    """Two lowest eigenvectors of ``h`` under the documented basis convention.
+    """Ground pair of ``h`` under the documented basis convention.
 
     ``parity`` is a (sign, string) pair for the conserved zero-mode operator;
     ``gauge`` restricts to its redundancy slice on the coupler layout.  Both
-    must commute with every term of ``h`` and with each other.  H is
-    diagonalised one joint eigenvalue sector of them at a time, with one basis
-    vector per orbit of basis states under their X masks: the sector projector
-    applied to the orbit's smallest index (Sandvik, arXiv:1101.3281, sec. 4).
+    must commute with every term of ``h`` and with each other; ``flip`` must
+    commute with every term and anticommute with both, so it maps the (+, +)
+    sector onto the (-, -) one, and column 1 is ``flip`` applied to column 0.
+    The caller ensures that the lowest level of these two sectors is the
+    ground level.  Only (+, +) is diagonalised, one basis vector per orbit of
+    basis states under the symmetries' X masks: the sector projector applied
+    to the orbit's smallest index (Sandvik, arXiv:1101.3281, sec. 4).
     """
     symmetries = [parity] + ([(1.0, gauge)] if gauge is not None else [])
     for name, (_, s) in zip(("parity", "gauge"), symmetries):
@@ -176,61 +169,64 @@ def ground_space(
                     f"{name} string {s.label()} is not conserved: "
                     f"it anticommutes with {other.label()}"
                 )
-    H = _dense_matrix(h)
+    checks = [(s, "commute") for _, s in h.terms] + [(s, "anticommute") for _, s in symmetries]
+    for other, must in checks:
+        if commutes(flip, other) != (must == "commute"):
+            raise ValueError(f"flip string {flip.label()} must {must} with {other.label()}")
+    H = h.to_matrix()
     group = [PauliString.identity(h.num_qubits)]  # element m: the S_j with bit j in m
-    for _, s in symmetries:
+    chars = [1.0]  # element m: the product of the c_j with bit j in m
+    for c, s in symmetries:
         group += [multiply(g, s) for g in group]
-    span = list(dict.fromkeys(g.x for g in group))
+        chars += [d * c for d in chars]
+    span = list(dict.fromkeys(g.x for g in group))  # span[0] = 0
     idx = np.arange(1 << h.num_qubits)
     rep = idx[np.min([idx ^ a for a in span], axis=0) == idx]
-    spectra, ground = [], {}
-    for pattern in itertools.product((1.0, -1.0), repeat=len(symmetries)):
-        chars = [1.0]  # element m: the t_j * c_j with bit j in m
-        for t, (c, _) in zip(pattern, symmetries):
-            chars += [d * t * c for d in chars]
-        # prod_j (1 + t_j c_j S_j)|rep[o]> has amplitude C[o, a] on rep[o] ^ span[a]
-        C = np.zeros((len(rep), len(span)), dtype=np.complex128)
-        for g, chi in zip(group, chars):
-            phases = kernels.pauli_action_phases(h.num_qubits, g.x, g.z, g.phase_exp)
-            C[:, span.index(g.x)] += chi * phases[rep]
-        C = C if C.imag.any() else C.real  # B stays real when H is
-        norms = np.linalg.norm(C, axis=1)
-        keep = norms > 0.5  # a row of Gaussian integers is 0 or has norm >= 1
-        C, rows = C[keep] / norms[keep, None], rep[keep, None] ^ np.array(span)
-        B = sum(
-            C[:, a].conj()[:, None] * H[np.ix_(rows[:, a], rows[:, b])] * C[:, b]
-            for a in range(len(span))
-            for b in range(len(span))
-        )
-        if len(set(pattern)) == 1:  # the (+, +) and (-, -) sectors are lifted
-            w, V = np.linalg.eigh(B)
-            ground[pattern[0]] = (w, rows, V[:, :1] * C)
-        else:
-            w = np.linalg.eigvalsh(B)
-        spectra.append(w)
-    levels = np.sort(np.concatenate(spectra))
-    top = levels[0] + DEGENERACY_ATOL
-    if np.count_nonzero(levels <= top) < 2:
-        raise ValueError("ground level is not degenerate")
-    G = np.zeros((len(idx), 2), dtype=np.complex128)
-    for col, target in enumerate((1.0, -1.0)):
-        w, rows, amps = ground[target]
-        if (dim := np.count_nonzero(w <= top)) != 1:
-            raise ValueError(f"parity/gauge slice has dimension {dim}, expected 1")
-        G[rows, col] = amps
-        G[:, col] = _fix_phase(G[:, col])
-    return GroundSpace(G, levels[:2].copy())
+    # prod_j (1 + c_j S_j)|rep[o]> has amplitude C[o, a] on rep[o] ^ span[a]
+    C = np.zeros((len(rep), len(span)), dtype=np.complex128)
+    for g, chi in zip(group, chars):
+        phases = kernels.pauli_action_phases(h.num_qubits, g.x, g.z, g.phase_exp)
+        C[:, span.index(g.x)] += chi * phases[rep]
+    C = C if C.imag.any() else C.real  # B stays real when H is
+    norms = np.linalg.norm(C, axis=1)
+    keep = norms > 0.5  # a row of Gaussian integers is 0 or has norm >= 1
+    C, rows = C[keep] / norms[keep, None], rep[keep, None] ^ np.array(span)
+    # Row o is v_o = P|rep[o]> / |P rep[o]| for the sector projector P, so
+    # <rep[o]|v_o> = C[o, 0] > 0 and, as H v stays in the sector,
+    # <v_o|H|v> = <rep[o]|H|v> / C[o, 0]: only the representatives' rows.
+    B = H[np.ix_(rows[:, 0], rows[:, 0])] * C[:, 0]
+    for b in range(1, len(span)):
+        B += H[np.ix_(rows[:, 0], rows[:, b])] * C[:, b]
+    del H  # free the dense matrix before the eigensolver allocates its workspace
+    B /= C[:, :1].real
+    w, V = np.linalg.eigh(B)
+    if (dim := np.count_nonzero(w <= w[0] + DEGENERACY_ATOL)) != 1:
+        raise ValueError(f"parity/gauge slice has dimension {dim}, expected 1")
+    g1 = np.zeros(len(idx), dtype=np.complex128)
+    g1[rows] = V[:, :1] * C
+    g1 = _fix_phase(g1)
+    g2 = (kernels.pauli_action_phases(h.num_qubits, flip.x, flip.z, 0) * g1)[idx ^ flip.x]
+    return GroundSpace(np.stack([g1, _fix_phase(g2)], axis=1), np.full(2, w[0]))
 
 
 def trijunction_ground_space(
     config: Configuration, params: TrijunctionParams, layout: QubitLayout
 ) -> GroundSpace:
-    """Ground space of the mapped trijunction Hamiltonian, convention applied."""
+    """Ground space of the mapped trijunction Hamiltonian, convention applied.
+
+    The free mode y_{b,n-1} (absent from H_ab) flips the parity, and the arm-a
+    gauge (coupler) flips the arm-c gauge and commutes with every mode: so all
+    four (parity, gauge) sectors share a spectrum, and their product flips.
+    """
     h = map_hamiltonian(trijunction_h(config, params), layout)
-    sign_c, parity_string = map_monomial(zero_mode_pair(config, params.n), layout)
+    pair = zero_mode_pair(config, params.n)
+    sign_c, parity_string = map_monomial(pair, layout)
     parity = (float(sign_c.real), parity_string)
-    gauge = gauge_operator(layout, config.c) if layout.kind == "coupler" else None
-    return ground_space(h, parity=parity, gauge=gauge)
+    flip = map_majorana(pair.factors[1], layout)
+    if layout.kind == "continuous":
+        return ground_space(h, parity, flip)
+    gauge_a, gauge_c = (gauge_operator(layout, arm) for arm in (config.a, config.c))
+    return ground_space(h, parity, multiply(flip, gauge_a), gauge_c)
 
 
 def prepare_initial(gs: GroundSpace, sign: int = +1) -> np.ndarray:
@@ -267,7 +263,7 @@ def project_braid(U: np.ndarray, gs: GroundSpace) -> BraidReport:
 
 def evolve_exact(psi: np.ndarray, h: PauliSum, t: float) -> np.ndarray:
     """exp(-i*H*t)|psi> through a dense eigendecomposition."""
-    evals, evecs = _dense_eigh(h)
+    evals, evecs = np.linalg.eigh(h.to_matrix())
     return evecs @ (np.exp(-1j * evals * t) * (evecs.conj().T @ psi))
 
 

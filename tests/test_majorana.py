@@ -184,6 +184,12 @@ def test_braid_exchanges_concatenation():
         braid_exchanges(2, 7)
 
 
+@pytest.mark.parametrize("n", range(1, 7))
+def test_steps_four_to_six_repeat_steps_one_to_three(n):
+    """The double braid is the single braid applied twice."""
+    assert braid_exchanges(n, 6) == braid_exchanges(n, 3) * 2
+
+
 def test_hamiltonian_merges_duplicate_terms():
     t = mono(1j, g(1, 0, "x"), g(2, 0, "x"))
     h = MajoranaHamiltonian([t, t], n=1)

@@ -201,6 +201,24 @@ def test_pauli_sum_matrix_is_hermitian():
     np.testing.assert_allclose(H, H.conj().T, atol=1e-14)
 
 
+@pytest.mark.parametrize(
+    "labels,dtype",
+    [
+        (("ZI", "XX", "YY", "IZ"), np.float64),  # even Y counts: a real matrix
+        (("YYYY", "XZXZ", "IIII"), np.float64),
+        (("ZI", "XY"), np.complex128),  # one odd-Y string makes it complex
+        (("IY", "YZ", "XX"), np.complex128),
+    ],
+)
+def test_pauli_sum_matrix_is_real_exactly_for_even_y_counts(labels, dtype):
+    rng = np.random.default_rng(len(labels))
+    num_qubits = len(labels[0])
+    pairs = [(float(rng.normal()), PauliString.from_label(s)) for s in labels]
+    M = PauliSum(num_qubits, pairs).to_matrix()
+    assert M.dtype == dtype
+    np.testing.assert_array_equal(M, sum(c * to_matrix(s) for c, s in pairs))
+
+
 def test_pauli_sum_scalar_and_addition():
     z = PauliString.from_label("ZI")
     x = PauliString.from_label("IX")

@@ -24,6 +24,8 @@ WORKLOADS = ["protocol-coupler-n3", "adiabatic-continuous-n3", "resources-n8"]
 COUNTS = {
     "protocol-coupler-n3": {
         "kernels.rotations": 72,
+        "kernels.matrix_rotations": 36,
+        "simulator.ground_space_calls": 2,
         "mappings.map_calls": 2,
         "mappings.map_reuse": 0.5,
         "pauli.interp_dup": 0.0,

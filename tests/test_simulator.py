@@ -10,7 +10,7 @@ from trijunction.hamiltonians import (
     trijunction_h,
     zero_mode_pair,
 )
-from trijunction.majorana import braid_exchanges, conjugate_monomial
+from trijunction.majorana import MajoranaIndex, braid_exchanges, conjugate_monomial
 from trijunction.mappings import (
     continuous_layout,
     coupler_layout,
@@ -18,10 +18,11 @@ from trijunction.mappings import (
     gauge_operator,
     layout_for,
     map_hamiltonian,
+    map_majorana,
     map_monomial,
 )
 from trijunction import simulator
-from trijunction.pauli import PauliString, PauliSum, to_matrix
+from trijunction.pauli import PauliString, PauliSum, commutes, multiply, to_matrix
 from trijunction.simulator import (
     apply_braid,
     apply_exchange,
@@ -135,16 +136,19 @@ def test_ground_space_is_an_isometry(kind, n):
 
 
 def test_ground_space_requires_degeneracy():
+    """H = Z with parity Z has a nondegenerate ground state, and no string
+    both commutes with the term and anticommutes with the parity."""
     z = PauliString.from_label("Z")
     h = PauliSum(1, [(1.0, z)])
-    with pytest.raises(ValueError, match="not degenerate"):
-        ground_space(h, parity=(1.0, z))
+    for label in "IXYZ":
+        with pytest.raises(ValueError, match=f"flip string {label} "):
+            ground_space(h, (1.0, z), PauliString.from_label(label))
 
 
 def test_ground_space_dense_limit():
     h = PauliSum(15)
     with pytest.raises(ValueError, match="limited to 14 qubits"):
-        ground_space(h, parity=(1.0, PauliString.identity(15)))
+        ground_space(h, (1.0, PauliString(15, z=1)), PauliString(15, x=1))
 
 
 def test_prepare_initial_superpositions():
@@ -264,35 +268,72 @@ def test_real_eigh_ground_space_matches_complex(n, scale):
     layout = coupler_layout(n)
     params = TrijunctionParams(n=n, delta=scale, alpha=scale, t_junction=scale)
     h = map_hamiltonian(trijunction_h(CONFIG_12, params), layout)
-    assert simulator._dense_matrix(h).dtype == np.float64
+    assert h.to_matrix().dtype == np.float64
     assert_matches_full_spectrum(CONFIG_12, layout, params)
 
 
 @pytest.mark.parametrize("kind,blocks", [("coupler", 4), ("continuous", 2)])
 def test_ground_space_never_diagonalises_the_full_matrix(monkeypatch, kind, blocks):
-    """Each symmetry string halves the largest matrix handed to the
-    eigensolver: one string on the continuous layout, two on the coupler."""
-    shapes = []
+    """One eigensolve, of the (+, +) sector alone: each symmetry string
+    halves it, one string on the continuous layout and two on the coupler."""
+    shapes = {"eigh": [], "eigvalsh": []}
 
-    def recording(solve):
+    def recording(name):
+        solve = getattr(np.linalg, name)
+
         def wrapped(a, *args, **kwargs):
-            shapes.append(a.shape)
+            shapes[name].append(a.shape)
             return solve(a, *args, **kwargs)
 
         return wrapped
 
-    for name in ("eigh", "eigvalsh"):
-        monkeypatch.setattr(np.linalg, name, recording(getattr(np.linalg, name)))
+    for name in shapes:
+        monkeypatch.setattr(np.linalg, name, recording(name))
     layout = layout_for(kind, 3)
     trijunction_ground_space(CONFIG_12, TrijunctionParams(n=3), layout)
-    assert shapes
-    assert max(rows for rows, _ in shapes) <= (1 << layout.total_qubits) // blocks
+    dim = (1 << layout.total_qubits) // blocks
+    assert shapes == {"eigh": [(dim, dim)], "eigvalsh": []}
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("kind", ["coupler", "continuous"])
+@pytest.mark.parametrize("config", PROTOCOL_CONFIGS)
+def test_flip_maps_the_ground_sector_onto_its_partner(monkeypatch, config, kind, n):
+    """Bitmask check of the strings ``trijunction_ground_space`` passes on.
+    The unpaired mode y_{b,n-1} commutes with H_ab and flips the parity; on
+    the coupler layout the arm-a gauge commutes with H_ab and the parity and
+    flips the arm-c gauge.  So the four (parity, gauge) sectors share one
+    spectrum, and the flip, their product, maps (+, +) onto (-, -)."""
+    calls = []
+
+    def recording(h, parity, flip, gauge=None):
+        calls.append((h, parity, flip, gauge))
+
+    monkeypatch.setattr(simulator, "ground_space", recording)
+    layout = layout_for(kind, n)
+    trijunction_ground_space(config, TrijunctionParams(n=n), layout)
+    [(h, (_, parity), flip, gauge)] = calls
+    terms = [s for _, s in h.terms]
+    mode = map_majorana(MajoranaIndex(config.b, n - 1, "y"), layout)
+    assert all(commutes(mode, t) for t in terms) and not commutes(mode, parity)
+    if kind == "coupler":
+        gauge_a = gauge_operator(layout, config.a)
+        assert gauge == gauge_operator(layout, config.c)
+        assert all(commutes(gauge_a, t) for t in (*terms, parity, mode))
+        assert commutes(mode, gauge) and not commutes(gauge_a, gauge)
+        assert flip == multiply(mode, gauge_a)
+        assert not commutes(flip, gauge)
+    else:
+        assert gauge is None and flip == mode
+    assert all(commutes(flip, t) for t in terms) and not commutes(flip, parity)
 
 
 def test_ground_space_rejects_a_parity_that_is_not_conserved():
     h = PauliSum(2, [(1.0, PauliString.from_label("ZZ"))])
     with pytest.raises(ValueError, match="parity string XI is not conserved"):
-        ground_space(h, parity=(1.0, PauliString.from_label("XI")))
+        ground_space(
+            h, (1.0, PauliString.from_label("XI")), PauliString.from_label("ZZ")
+        )
 
 
 def test_ground_space_rejects_a_gauge_that_is_not_conserved():
@@ -301,20 +342,40 @@ def test_ground_space_rejects_a_gauge_that_is_not_conserved():
         ground_space(
             h,
             parity=(1.0, PauliString.from_label("XX")),
+            flip=PauliString.from_label("IZ"),
             gauge=PauliString.from_label("ZI"),
         )
     with pytest.raises(ValueError, match="gauge string IX .* anticommutes with ZZ"):
         ground_space(
             h,
             parity=(1.0, PauliString.from_label("ZI")),
+            flip=PauliString.from_label("XI"),
             gauge=PauliString.from_label("IX"),
         )
+
+
+def test_ground_space_rejects_a_flip_that_is_not_conserved():
+    h = PauliSum(2, [(1.0, PauliString.from_label("ZZ"))])
+    with pytest.raises(ValueError, match="flip string XI must commute with ZZ"):
+        ground_space(
+            h, (1.0, PauliString.from_label("ZI")), PauliString.from_label("XI")
+        )
+
+
+def test_ground_space_rejects_a_flip_that_keeps_the_gauge():
+    """XX flips the parity ZI, and the gauge IZ but not the gauge ZZ."""
+    h = PauliSum(2, [(1.0, PauliString.from_label("ZZ"))])
+    parity, flip = (1.0, PauliString.from_label("ZI")), PauliString.from_label("XX")
+    gs = ground_space(h, parity, flip, gauge=PauliString.from_label("IZ"))
+    np.testing.assert_array_equal(gs.basis, np.eye(4)[:, [0, 3]])
+    with pytest.raises(ValueError, match="flip string XX must anticommute with ZZ"):
+        ground_space(h, parity, flip, gauge=PauliString.from_label("ZZ"))
 
 
 def test_odd_y_hamiltonian_keeps_complex_eigh():
     layout = continuous_layout(3)
     h = map_hamiltonian(trijunction_h(CONFIG_12, TrijunctionParams(n=3)), layout)
-    assert simulator._dense_eigh(h)[1].dtype == np.complex128
+    assert np.linalg.eigh(h.to_matrix())[1].dtype == np.complex128
 
 
 def test_project_braid_rejects_other_shapes():
