@@ -1,5 +1,5 @@
-"""Kitaev-chain and trijunction Hamiltonians in Majorana form, plus the
-six-transition protocol schedule and its Trotter slicing.
+"""Trijunction Hamiltonians in Majorana form, plus the six-transition
+protocol schedule and its Trotter slicing.
 
 A trijunction configuration is the ordered pair (a, b) of topological arms;
 the remaining arm c is trivial.  With x/y modes per site the Hamiltonian is
@@ -9,11 +9,11 @@ the remaining arm c is trivial.  With x/y modes per site the Hamiltonian is
          + i*eps_abc * t_ab * x_{a0} x_{b0},
 
 with eps the fully antisymmetric symbol, eps_123 = +1.  Default parameters
-put alpha = Delta = t_ab = 1 (and mu = 2*alpha for the standalone chain),
-where every paired mode is gapped at unit energy and the two unpaired
-y-modes at the far ends of arms a and b are exact zero modes.  The simulator
-and the compiler read one Trotter sequence, from ``trotter_slices`` and
-``trotter_rotations``: the state they evolve is the circuit they count.
+put alpha = Delta = t_ab = 1, where every paired mode is gapped at unit
+energy and the two unpaired y-modes at the far ends of arms a and b are
+exact zero modes.  The simulator and the compiler read one Trotter
+sequence, from ``trotter_slices`` and ``trotter_rotations``: the state they
+evolve is the circuit they count.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ __all__ = [
     "Configuration",
     "PROTOCOL_CONFIGS",
     "TrijunctionParams",
-    "kitaev_chain",
     "levi_civita",
     "schedule",
     "trijunction_h",
@@ -76,24 +75,6 @@ class TrijunctionParams:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"sites per arm must be >= 1, got {self.n}")
-
-
-def kitaev_chain(
-    n: int, mu: float, t: float, delta: float, arm: int = 1
-) -> MajoranaHamiltonian:
-    """Single open chain: (i/2) sum_j [-mu x_j y_j + (t+|d|) y_j x_{j+1}
-    + (-t+|d|) x_j y_{j+1}], boundary site has no hopping."""
-    if n < 1:
-        raise ValueError(f"chain length must be >= 1, got {n}")
-    x = lambda j: MajoranaIndex(arm, j, "x")
-    y = lambda j: MajoranaIndex(arm, j, "y")
-    terms = []
-    for j in range(n):
-        terms.append(MajoranaMonomial(-0.5j * mu, (x(j), y(j))))
-        if j + 1 < n:
-            terms.append(MajoranaMonomial(0.5j * (t + abs(delta)), (y(j), x(j + 1))))
-            terms.append(MajoranaMonomial(0.5j * (-t + abs(delta)), (x(j), y(j + 1))))
-    return MajoranaHamiltonian(terms, n)
 
 
 def trijunction_h(

@@ -156,7 +156,6 @@ class BraidStep:
 
     donor: int
     host: int
-    bystander: int
 
 
 def build_sub_operators(step: BraidStep, n: int) -> tuple[ExchangeOperator, ...]:
@@ -184,7 +183,7 @@ def build_sub_operators(step: BraidStep, n: int) -> tuple[ExchangeOperator, ...]
 
 def protocol_steps() -> tuple[BraidStep, ...]:
     """The six braid steps; steps 4-6 repeat steps 1-3."""
-    cycle = (BraidStep(2, 3, 1), BraidStep(1, 2, 3), BraidStep(3, 1, 2))
+    cycle = (BraidStep(2, 3), BraidStep(1, 2), BraidStep(3, 1))
     return cycle + cycle
 
 

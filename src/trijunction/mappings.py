@@ -28,7 +28,6 @@ from .pauli import PauliString, PauliSum, multiply
 
 __all__ = [
     "QubitLayout",
-    "continuous_layout",
     "coupler_layout",
     "exchange_rotation",
     "gauge_operator",
@@ -75,10 +74,6 @@ class QubitLayout:
 
 def coupler_layout(n: int) -> QubitLayout:
     return QubitLayout("coupler", n)
-
-
-def continuous_layout(n: int) -> QubitLayout:
-    return QubitLayout("continuous", n)
 
 
 def layout_for(kind: str, n: int) -> QubitLayout:

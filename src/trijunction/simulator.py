@@ -3,11 +3,14 @@
 States are plain complex128 arrays of length 2^Q treated as values: every
 operation returns a fresh array and preserves the norm to better than 1e-12.
 Exchange unitaries and Trotter factors are single Pauli rotations and go
-through the numpy rotation kernel.  A ground space takes one eigensolve, of
-its parity +1 (and gauge +1) sector, 2^Q/2 (continuous) or 2^Q/4 (coupler)
-rows; the unpaired Majorana mode maps the result to its partner.  Only the
-exact-evolution oracle diagonalises all of H.  Both start from the dense
-matrix (up to ``DENSE_QUBIT_LIMIT`` qubits), which is real whenever H is.
+through the numpy rotation kernel.  A ground space takes no eigensolve:
+every term of a trijunction Hamiltonian pairs two Majorana modes that no
+other term touches, so the mapped strings commute and the parity +1 (and
+gauge +1) ground state is the image of commuting projectors, built with the
+same kernel in O(terms * 2^Q); the unpaired Majorana mode maps it to its
+partner.  The dense matrix (up to ``DENSE_QUBIT_LIMIT`` qubits, real
+whenever H is) only certifies the pair, and only the exact-evolution oracle
+diagonalises it.
 
 A braid is projected through its action on the two ground columns: the
 exchange rotations are applied to the 2^Q x 2 ground basis G and the 2 x 2
@@ -16,14 +19,15 @@ only as a test oracle.
 
 Ground-space convention
 -----------------------
-Within the degenerate lowest eigenspace the returned basis diagonalises the
-mapped zero-mode pair operator ("parity"): column 0 has parity +1 and column
-1, the free mode y_{b,n-1} applied to column 0, parity -1; each has its first
-significant amplitude made real positive.  There is no parity-free form.  On
-the coupler layout the lowest eigenspace is four-dimensional (the gauge
-redundancy doubles it); column 0 has gauge +1 and the flip carries the arm-a
-gauge string, so column 1 has gauge -1: the slice containing the reference
-single-site ground pair.  Reported braid phases are basis-independent.
+Within the degenerate lowest eigenspace, at energy exactly -sum |c|, the
+returned basis diagonalises the mapped zero-mode pair operator ("parity"):
+column 0 has parity +1 and column 1, the free mode y_{b,n-1} applied to
+column 0, parity -1; each has its first nonzero amplitude made real
+positive.  There is no parity-free form.  On the coupler layout the lowest
+eigenspace is four-dimensional (the gauge redundancy doubles it); column 0
+has gauge +1 and the flip carries the arm-a gauge string, so column 1 has
+gauge -1: the slice containing the reference single-site ground pair.
+Reported braid phases are basis-independent.
 """
 
 from __future__ import annotations
@@ -66,7 +70,7 @@ __all__ = [
     "trotter_step",
 ]
 
-DEGENERACY_ATOL = 1e-8  # energy window of the degenerate ground level
+GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))  # phases of the support probe
 
 
 def fidelity(a: np.ndarray, b: np.ndarray) -> float:
@@ -138,9 +142,27 @@ class BraidReport:
 
 
 def _fix_phase(v: np.ndarray) -> np.ndarray:
-    nz = np.flatnonzero(np.abs(v) > 1e-8 * np.max(np.abs(v)))
-    lead = v[nz[0]]
+    lead = v[np.flatnonzero(v)[0]]
     return v * (lead.conjugate() / abs(lead))
+
+
+def _gf2_rank(vectors: list[int]) -> int:
+    """Rank over GF(2) of bit vectors held as ints."""
+    pivots: dict[int, int] = {}  # leading bit -> row
+    for v in vectors:
+        while v and (lead := v.bit_length()) in pivots:
+            v ^= pivots[lead]
+        if v:
+            pivots[lead] = v
+    return len(pivots)
+
+
+def _project(v: np.ndarray, stabilizers: list[tuple[float, PauliString]]) -> np.ndarray:
+    """prod_k (1 + s_k P_k)/2 @ v for commuting strings P_k and signs s_k."""
+    for sign, p in stabilizers:
+        pv = kernels.apply_string_to_matrix(v, p.num_qubits, p.x, p.z, p.phase_exp)
+        v = 0.5 * (v + sign * pv)
+    return v
 
 
 def ground_space(
@@ -149,18 +171,29 @@ def ground_space(
     flip: PauliString,
     gauge: PauliString | None = None,
 ) -> GroundSpace:
-    """Ground pair of ``h`` under the documented basis convention.
+    """Ground pair of ``h``, a sum of commuting strings, under the documented
+    basis convention.
 
     ``parity`` is a (sign, string) pair for the conserved zero-mode operator;
     ``gauge`` restricts to its redundancy slice on the coupler layout.  Both
     must commute with every term of ``h`` and with each other; ``flip`` must
     commute with every term and anticommute with both, so it maps the (+, +)
     sector onto the (-, -) one, and column 1 is ``flip`` applied to column 0.
-    The caller ensures that the lowest level of these two sectors is the
-    ground level.  Only (+, +) is diagonalised, one basis vector per orbit of
-    basis states under the symmetries' X masks: the sector projector applied
-    to the orbit's smallest index (Sandvik, arXiv:1101.3281, sec. 4).
+
+    Column 0 is the stabilizer state with P_k = -sign(c_k) for every term
+    c_k P_k and +1 for both symmetries (Gottesman, quant-ph/9705052), so the
+    energy is exactly -sum |c_k| (an identity term adds its own c).  Those
+    strings must have GF(2) rank Q (one state) and consistent signs (a
+    nonzero projection).  The projector
+    applied to a fixed vector of distinct phases finds the state's first
+    basis index i; applied to |i> it gives exact dyadic amplitudes with
+    <i|g> > 0.  The dense matrix serves only to certify ||Hg - Eg|| for g in
+    column 0.
     """
+    for k, (_, s) in enumerate(h.terms):
+        for _, t in h.terms[k + 1 :]:
+            if not commutes(s, t):
+                raise ValueError(f"terms {s.label()} and {t.label()} do not commute")
     symmetries = [parity] + ([(1.0, gauge)] if gauge is not None else [])
     for name, (_, s) in zip(("parity", "gauge"), symmetries):
         for _, other in (*h.terms, *symmetries):
@@ -174,39 +207,29 @@ def ground_space(
         if commutes(flip, other) != (must == "commute"):
             raise ValueError(f"flip string {flip.label()} must {must} with {other.label()}")
     H = h.to_matrix()
-    group = [PauliString.identity(h.num_qubits)]  # element m: the S_j with bit j in m
-    chars = [1.0]  # element m: the product of the c_j with bit j in m
-    for c, s in symmetries:
-        group += [multiply(g, s) for g in group]
-        chars += [d * c for d in chars]
-    span = list(dict.fromkeys(g.x for g in group))  # span[0] = 0
-    idx = np.arange(1 << h.num_qubits)
-    rep = idx[np.min([idx ^ a for a in span], axis=0) == idx]
-    # prod_j (1 + c_j S_j)|rep[o]> has amplitude C[o, a] on rep[o] ^ span[a]
-    C = np.zeros((len(rep), len(span)), dtype=np.complex128)
-    for g, chi in zip(group, chars):
-        phases = kernels.pauli_action_phases(h.num_qubits, g.x, g.z, g.phase_exp)
-        C[:, span.index(g.x)] += chi * phases[rep]
-    C = C if C.imag.any() else C.real  # B stays real when H is
-    norms = np.linalg.norm(C, axis=1)
-    keep = norms > 0.5  # a row of Gaussian integers is 0 or has norm >= 1
-    C, rows = C[keep] / norms[keep, None], rep[keep, None] ^ np.array(span)
-    # Row o is v_o = P|rep[o]> / |P rep[o]| for the sector projector P, so
-    # <rep[o]|v_o> = C[o, 0] > 0 and, as H v stays in the sector,
-    # <v_o|H|v> = <rep[o]|H|v> / C[o, 0]: only the representatives' rows.
-    B = H[np.ix_(rows[:, 0], rows[:, 0])] * C[:, 0]
-    for b in range(1, len(span)):
-        B += H[np.ix_(rows[:, 0], rows[:, b])] * C[:, b]
-    del H  # free the dense matrix before the eigensolver allocates its workspace
-    B /= C[:, :1].real
-    w, V = np.linalg.eigh(B)
-    if (dim := np.count_nonzero(w <= w[0] + DEGENERACY_ATOL)) != 1:
-        raise ValueError(f"parity/gauge slice has dimension {dim}, expected 1")
-    g1 = np.zeros(len(idx), dtype=np.complex128)
-    g1[rows] = V[:, :1] * C
-    g1 = _fix_phase(g1)
-    g2 = (kernels.pauli_action_phases(h.num_qubits, flip.x, flip.z, 0) * g1)[idx ^ flip.x]
-    return GroundSpace(np.stack([g1, _fix_phase(g2)], axis=1), np.full(2, w[0]))
+    nq = h.num_qubits
+    stabilizers = [(-math.copysign(1.0, c), s) for c, s in h.terms if not s.is_identity]
+    stabilizers += symmetries
+    if (rank := _gf2_rank([s.x << nq | s.z for _, s in stabilizers])) < nq:
+        raise ValueError(f"parity/gauge slice has dimension {1 << (nq - rank)}, expected 1")
+    probe = _project(np.exp(GOLDEN_ANGLE * 1j * np.arange(1 << nq)), stabilizers)
+    i = int(np.argmax(np.abs(probe) > 0.5 * np.max(np.abs(probe))))
+    g1 = np.zeros(1 << nq, dtype=np.complex128)
+    g1[i] = 1.0
+    g1 = _project(g1, stabilizers)
+    if g1[i] == 0:  # exact: each projector adds and halves dyadic amplitudes
+        raise ValueError("the (+, +) projection vanishes: the term and symmetry signs conflict")
+    g1 /= math.sqrt(g1[i].real)  # <i|g1> = ||g1||^2, and i is g1's first nonzero index
+    g2 = kernels.apply_string_to_matrix(g1, nq, flip.x, flip.z, flip.phase_exp)
+    G = np.stack([g1, _fix_phase(g2)], axis=1)
+    energy = sum(c if s.is_identity else -abs(c) for c, s in h.terms)
+    # Column 1, the flip times column 0, has the same residual.  Two products
+    # keep a real H real; matrix-vector ones touch no BLAS gemm buffers.
+    Hg = H @ g1 if np.iscomplexobj(H) else H @ g1.real + 1j * (H @ g1.imag)
+    residual = float(np.linalg.norm(Hg - energy * g1))
+    if residual > 1e-10 * sum(abs(c) for c, _ in h.terms):
+        raise RuntimeError(f"ground pair residual {residual:.3g} is not certified")
+    return GroundSpace(G, np.full(2, energy))
 
 
 def trijunction_ground_space(

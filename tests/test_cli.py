@@ -276,3 +276,60 @@ def test_package_import_loads_no_submodule():
     assert done.returncode == 0, done.stderr
     assert done.stdout == "[]\n"
     assert trijunction.__version__ == "0.1.0"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--sites", "2", "--alpha", "1e-9"),
+        ("verify", "--sites", "2", "--delta", "1e-9"),
+        ("verify", "--sites", "1", "--tcoupling", "1e-9"),
+        ("braid", "--sites", "3", "--alpha", "1e-9"),
+        ("verify", "--sites", "3", "--mapping", "continuous", "--tcoupling", "1e-9"),
+    ],
+)
+def test_tiny_gaps_keep_the_exact_phases(capsys, argv):
+    # The ground pair is fixed by the signs of the terms, not by an energy
+    # window, so a gap far below 1 leaves the braid exact.
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    results = json.loads(out)["results"]
+    if argv[0] == "verify":
+        assert results["dphi_single"] == float(format(math.pi / 2, ".12g"))
+        assert results["dphi_double"] == float(format(math.pi, ".12g"))
+    else:
+        assert results["fidelity_plus_to_opposite"] == 1.0
+        assert results["fidelity_minus_to_opposite"] == 1.0
+    assert results["checks_passed"] is True
+
+
+def test_a_pruned_gap_leaves_free_modes(capsys):
+    # PauliSum drops |c| <= 1e-12, so alpha = 1e-13 removes the two arm-3
+    # pairings and frees two qubits of the (+, +) slice.
+    code, out, err = run(capsys, "verify", "--sites", "2", "--alpha", "1e-13")
+    assert code == 2
+    assert out == ""
+    assert "dimension 4, expected 1" in err
+
+
+def test_state_commands_run_no_eigensolver():
+    # The ground pair comes from commuting projectors, and numpy.random is
+    # never imported (it would add about 6 MB to the resident set).
+    env = dict(os.environ, PYTHONPATH=str(Path(trijunction.__file__).parents[1]))
+    code = """
+import contextlib, io, sys
+import numpy as np
+calls = []
+for name in ("eigh", "eigvalsh"):
+    setattr(np.linalg, name, lambda *a, name=name, **k: calls.append(name))
+from trijunction.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main([cmd, "--sites", "2"]) for cmd in ("verify", "braid", "adiabatic")]
+print(codes, calls, "numpy.random" in sys.modules)
+"""
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[0, 0, 0] [] False\n"

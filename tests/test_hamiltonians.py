@@ -7,14 +7,13 @@ from trijunction.compiler import compile_adiabatic
 from trijunction.hamiltonians import (
     Configuration,
     TrijunctionParams,
-    kitaev_chain,
     levi_civita,
     schedule,
     trijunction_h,
     zero_mode_pair,
 )
 from trijunction.majorana import MajoranaIndex
-from trijunction.mappings import continuous_layout, coupler_layout, map_hamiltonian
+from trijunction.mappings import coupler_layout, layout_for, map_hamiltonian
 from trijunction.simulator import trotter_adiabatic
 
 
@@ -35,35 +34,6 @@ def test_configuration_fields():
     assert Configuration(1, 3).epsilon == -1
     with pytest.raises(ValueError):
         Configuration(1, 1)
-
-
-def test_kitaev_chain_trivial_phase_is_on_site_only():
-    h = kitaev_chain(3, mu=2.0, t=0.0, delta=0.0)
-    assert len(h) == 3
-    for term in h.terms:
-        (a, b) = term.factors
-        assert a.site == b.site and {a.orientation, b.orientation} == {"x", "y"}
-        assert term.coefficient == -1j  # -(i/2) * mu
-
-
-def test_kitaev_chain_topological_phase_is_hopping_only():
-    h = kitaev_chain(3, mu=0.0, t=1.0, delta=1.0)
-    assert len(h) == 2
-    for term in h.terms:
-        (a, b) = term.factors
-        assert (a.orientation, b.orientation) == ("y", "x")
-        assert b.site == a.site + 1
-        assert term.coefficient == 1j  # (i/2) * (t + |delta|)
-
-
-def test_kitaev_chain_single_site():
-    h = kitaev_chain(1, mu=2.0, t=1.0, delta=1.0)
-    assert h.as_multiset() == {(g(1, 0, "x"), g(1, 0, "y")): -1j}
-
-
-def test_kitaev_chain_rejects_empty():
-    with pytest.raises(ValueError):
-        kitaev_chain(0, 1.0, 1.0, 1.0)
 
 
 def test_trijunction_three_sites_matches_reference_terms():
@@ -110,7 +80,7 @@ def test_schedule_pairs_and_closure():
 def test_schedule_rejects_bad_tau():
     """Both consumers of the schedule reject a non-positive step duration."""
     params = TrijunctionParams(n=1)
-    layout = continuous_layout(1)
+    layout = layout_for("continuous", 1)
     h = map_hamiltonian(trijunction_h(Configuration(1, 2), params), layout)
     psi = np.zeros(1 << layout.total_qubits, dtype=complex)
     psi[0] = 1.0
@@ -124,7 +94,7 @@ def test_schedule_rejects_bad_tau():
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("kind", ["coupler", "continuous"])
 def test_ground_level_is_degenerate_at_default_parameters(n, kind):
-    layout = coupler_layout(n) if kind == "coupler" else continuous_layout(n)
+    layout = layout_for(kind, n)
     for config in (Configuration(1, 2), Configuration(1, 3), Configuration(2, 3)):
         h = map_hamiltonian(trijunction_h(config, TrijunctionParams(n=n)), layout)
         evals = np.linalg.eigvalsh(h.to_matrix())

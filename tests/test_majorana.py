@@ -123,7 +123,7 @@ def test_sub_operator_counts():
 
 
 def test_sub_operators_single_site_is_junction_only():
-    ops = build_sub_operators(BraidStep(2, 3, 1), 1)
+    ops = build_sub_operators(BraidStep(2, 3), 1)
     assert ops == (
         ExchangeOperator(g(2, 0, "y"), g(3, 0, "y")),
         ExchangeOperator(g(2, 0, "x"), g(3, 0, "x")),
@@ -132,7 +132,7 @@ def test_sub_operators_single_site_is_junction_only():
 
 def test_sub_operators_three_sites_application_order():
     # donor sweep walks in from the arm end, host sweep walks back out
-    ops = build_sub_operators(BraidStep(2, 3, 1), 3)
+    ops = build_sub_operators(BraidStep(2, 3), 3)
     assert ops == (
         ExchangeOperator(g(2, 1, "y"), g(2, 2, "y")),
         ExchangeOperator(g(2, 0, "y"), g(2, 1, "y")),
@@ -145,15 +145,15 @@ def test_sub_operators_three_sites_application_order():
 
 def test_sub_operators_reject_bad_size():
     with pytest.raises(ValueError):
-        build_sub_operators(BraidStep(2, 3, 1), 0)
+        build_sub_operators(BraidStep(2, 3), 0)
 
 
 def test_protocol_steps_structure():
     steps = protocol_steps()
     assert len(steps) == 6
-    assert steps[0] == BraidStep(2, 3, 1)
-    assert steps[1] == BraidStep(1, 2, 3)
-    assert steps[2] == BraidStep(3, 1, 2)
+    assert steps[0] == BraidStep(2, 3)
+    assert steps[1] == BraidStep(1, 2)
+    assert steps[2] == BraidStep(3, 1)
     assert steps[3:] == steps[:3]
 
 

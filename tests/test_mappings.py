@@ -9,9 +9,9 @@ from trijunction.hamiltonians import Configuration, TrijunctionParams, trijuncti
 from trijunction.majorana import MajoranaIndex, MajoranaMonomial
 from trijunction.mappings import (
     QubitLayout,
-    continuous_layout,
     coupler_layout,
     gauge_operator,
+    layout_for,
     map_hamiltonian,
     map_majorana,
     map_monomial,
@@ -29,16 +29,16 @@ def all_modes(n):
 
 def test_layout_shapes():
     assert coupler_layout(2).total_qubits == 7
-    assert continuous_layout(2).total_qubits == 6
+    assert layout_for("continuous", 2).total_qubits == 6
     assert coupler_layout(3).coupler_qubit == 9
     with pytest.raises(ValueError):
         QubitLayout("ring", 2)
     with pytest.raises(ValueError):
-        continuous_layout(0)
+        layout_for("continuous", 0)
 
 
 def test_layout_assignment_is_a_bijection():
-    for layout in (coupler_layout(3), continuous_layout(3)):
+    for layout in (coupler_layout(3), layout_for("continuous", 3)):
         qubits = [layout.qubit(a, s) for a in (1, 2, 3) for s in range(3)]
         if layout.kind == "coupler":
             qubits.append(layout.coupler_qubit)
@@ -65,13 +65,13 @@ def test_coupler_map_carries_z_chain_up_the_arm():
 
 
 def test_continuous_map_first_site_is_bare():
-    s = map_majorana(g(1, 0, "x"), continuous_layout(2))
+    s = map_majorana(g(1, 0, "x"), layout_for("continuous", 2))
     assert s.weight == 1
     assert s.axis(0) == "X"
 
 
 def test_continuous_map_z_tail_spans_previous_arms():
-    layout = continuous_layout(2)
+    layout = layout_for("continuous", 2)
     s = map_majorana(g(2, 1, "y"), layout)  # global site 3
     assert [s.axis(q) for q in range(layout.total_qubits)] == [
         "Z", "Z", "Z", "Y", "I", "I",
@@ -200,7 +200,7 @@ def test_h12_three_site_coupler_term_count():
 
 
 def test_h12_single_site_continuous_junction_string():
-    layout = continuous_layout(1)
+    layout = layout_for("continuous", 1)
     h = map_hamiltonian(
         trijunction_h(Configuration(1, 2), TrijunctionParams(n=1)), layout
     )
@@ -247,7 +247,7 @@ def test_gauge_operators_close_at_single_site_by_brute_force():
 
 def test_gauge_operator_requires_coupler_layout():
     with pytest.raises(ValueError):
-        gauge_operator(continuous_layout(2), 1)
+        gauge_operator(layout_for("continuous", 2), 1)
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -257,7 +257,7 @@ def test_gauge_sector_spectrum_matches_continuous_mapping(n):
         trijunction_h(Configuration(1, 2), params), coupler_layout(n)
     )
     h_continuous = map_hamiltonian(
-        trijunction_h(Configuration(1, 2), params), continuous_layout(n)
+        trijunction_h(Configuration(1, 2), params), layout_for("continuous", n)
     )
     G = to_matrix(gauge_operator(coupler_layout(n), 3))
     w, V = np.linalg.eigh(G)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from trijunction.hamiltonians import (
     PROTOCOL_CONFIGS,
@@ -12,7 +13,6 @@ from trijunction.hamiltonians import (
 )
 from trijunction.majorana import MajoranaIndex, braid_exchanges, conjugate_monomial
 from trijunction.mappings import (
-    continuous_layout,
     coupler_layout,
     exchange_rotation,
     gauge_operator,
@@ -21,7 +21,8 @@ from trijunction.mappings import (
     map_majorana,
     map_monomial,
 )
-from trijunction import simulator
+from trijunction import kernels, simulator
+from trijunction.cli import PHASE_TOL_LARGER, PHASE_TOL_SINGLE_SITE
 from trijunction.pauli import PauliString, PauliSum, commutes, multiply, to_matrix
 from trijunction.simulator import (
     apply_braid,
@@ -263,7 +264,7 @@ def test_sector_ground_space_matches_full_spectrum(config, kind, n, gaps):
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("scale", [0.5, 2.0])
 def test_real_eigh_ground_space_matches_complex(n, scale):
-    """The coupler matrix is real, so its sector blocks are solved in real
+    """The coupler matrix is real, so the certificate multiplies it in real
     arithmetic; the complex full-spectrum answer agrees."""
     layout = coupler_layout(n)
     params = TrijunctionParams(n=n, delta=scale, alpha=scale, t_junction=scale)
@@ -274,25 +275,28 @@ def test_real_eigh_ground_space_matches_complex(n, scale):
 
 @pytest.mark.parametrize("kind,blocks", [("coupler", 4), ("continuous", 2)])
 def test_ground_space_never_diagonalises_the_full_matrix(monkeypatch, kind, blocks):
-    """One eigensolve, of the (+, +) sector alone: each symmetry string
-    halves it, one string on the continuous layout and two on the coupler."""
-    shapes = {"eigh": [], "eigvalsh": []}
+    """No eigensolve at all.  The (+, +) sector, one of ``blocks`` symmetry
+    sectors, is reached by two projection passes over every term and every
+    symmetry string, and its partner by one application of the flip."""
+    solves = []
+    for name in ("eig", "eigh", "eigvals", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, lambda *a, name=name, **k: solves.append(name))
+    applied = []
+    apply_string = kernels.apply_string_to_matrix
 
-    def recording(name):
-        solve = getattr(np.linalg, name)
+    def recording(*args):
+        applied.append(args[1:])
+        return apply_string(*args)
 
-        def wrapped(a, *args, **kwargs):
-            shapes[name].append(a.shape)
-            return solve(a, *args, **kwargs)
-
-        return wrapped
-
-    for name in shapes:
-        monkeypatch.setattr(np.linalg, name, recording(name))
+    monkeypatch.setattr(kernels, "apply_string_to_matrix", recording)
     layout = layout_for(kind, 3)
-    trijunction_ground_space(CONFIG_12, TrijunctionParams(n=3), layout)
-    dim = (1 << layout.total_qubits) // blocks
-    assert shapes == {"eigh": [(dim, dim)], "eigvalsh": []}
+    params = TrijunctionParams(n=3)
+    gs = trijunction_ground_space(CONFIG_12, params, layout)
+    assert solves == []
+    h = map_hamiltonian(trijunction_h(CONFIG_12, params), layout)
+    symmetries = blocks.bit_length() - 1
+    assert len(applied) == 2 * (len(h) + symmetries) + 1
+    assert gs.basis.shape == (1 << layout.total_qubits, 2)
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -363,17 +367,78 @@ def test_ground_space_rejects_a_flip_that_is_not_conserved():
 
 
 def test_ground_space_rejects_a_flip_that_keeps_the_gauge():
-    """XX flips the parity ZI, and the gauge IZ but not the gauge ZZ."""
+    """XX flips the parity ZI, and the gauge IZ but not the gauge ZZ.  With
+    the gauge IZ the signs -ZZ, +ZI, +IZ contradict each other: the (+, +)
+    sector holds only |00>, at energy +1, above the ground level -1."""
     h = PauliSum(2, [(1.0, PauliString.from_label("ZZ"))])
     parity, flip = (1.0, PauliString.from_label("ZI")), PauliString.from_label("XX")
-    gs = ground_space(h, parity, flip, gauge=PauliString.from_label("IZ"))
-    np.testing.assert_array_equal(gs.basis, np.eye(4)[:, [0, 3]])
+    with pytest.raises(ValueError, match=r"\(\+, \+\) projection vanishes"):
+        ground_space(h, parity, flip, gauge=PauliString.from_label("IZ"))
     with pytest.raises(ValueError, match="flip string XX must anticommute with ZZ"):
         ground_space(h, parity, flip, gauge=PauliString.from_label("ZZ"))
 
 
+def test_ground_space_rejects_terms_that_do_not_commute():
+    h = PauliSum(2, [(1.0, PauliString.from_label("ZI")), (0.5, PauliString.from_label("XI"))])
+    with pytest.raises(ValueError, match="terms XI and ZI do not commute"):
+        ground_space(h, (1.0, PauliString.from_label("IZ")), PauliString.from_label("IX"))
+
+
+def test_ground_space_counts_the_free_qubits():
+    """ZZI fixes one qubit pair and the parity ZII one more: the third qubit
+    is free, so the slice is two-dimensional."""
+    h = PauliSum(3, [(1.0, PauliString.from_label("ZZI"))])
+    with pytest.raises(ValueError, match="dimension 2, expected 1"):
+        ground_space(h, (1.0, PauliString.from_label("ZII")), PauliString.from_label("XXI"))
+
+
+def test_ground_space_of_commuting_strings():
+    """-XX + 0.25 II with parity ZZ: the Bell state (|00> + |11>)/sqrt(2),
+    paired by the flip XI with (|01> + |10>)/sqrt(2); the identity term
+    shifts the energy -1 by its own coefficient."""
+    h = PauliSum(2, [
+        (-1.0, PauliString.from_label("XX")), (0.25, PauliString.from_label("II"))
+    ])
+    gs = ground_space(h, (1.0, PauliString.from_label("ZZ")), PauliString.from_label("XI"))
+    want = np.array([[1, 0], [0, 1], [0, 1], [1, 0]]) / np.sqrt(2.0)
+    np.testing.assert_allclose(gs.basis, want, rtol=0, atol=1e-15)
+    np.testing.assert_array_equal(gs.energies, [-0.75, -0.75])
+
+
+def test_ground_space_is_certified_by_the_dense_matrix(monkeypatch):
+    """The dense matrix is an independent check: a wrong one is caught."""
+    layout = coupler_layout(1)
+    to_matrix = PauliSum.to_matrix
+    monkeypatch.setattr(PauliSum, "to_matrix", lambda h: 1.01 * to_matrix(h))
+    with pytest.raises(RuntimeError, match="residual .* is not certified"):
+        trijunction_ground_space(CONFIG_12, TrijunctionParams(n=1), layout)
+
+
+GAP = st.floats(-3.0, 3.0).map(lambda e: 10.0**e)  # log-uniform on [1e-3, 1e3]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("kind", ["coupler", "continuous"])
+@settings(max_examples=15, deadline=None)
+@given(delta=GAP, alpha=GAP, t_junction=GAP)
+def test_ground_pair_and_braid_phases_over_the_gap_scales(kind, n, delta, alpha, t_junction):
+    """The ground pair is an isometry at energy -sum |c| and both braids
+    give their exact phases, within the CLI's tolerance, at any gap scales."""
+    params = TrijunctionParams(n=n, delta=delta, alpha=alpha, t_junction=t_junction)
+    layout = layout_for(kind, n)
+    h = map_hamiltonian(trijunction_h(CONFIG_12, params), layout)
+    gs = trijunction_ground_space(CONFIG_12, params, layout)
+    np.testing.assert_allclose(gs.basis.conj().T @ gs.basis, np.eye(2), rtol=0, atol=1e-12)
+    assert gs.energies.tolist() == [-sum(abs(c) for c, _ in h.terms)] * 2
+    tol = PHASE_TOL_SINGLE_SITE if n == 1 else PHASE_TOL_LARGER
+    single = braid_unitary(layout, 3, gs.basis)
+    assert abs(project_braid(single, gs).dphi - np.pi / 2) <= tol
+    double = braid_unitary(layout, 3, single)
+    assert abs(project_braid(double, gs).dphi - np.pi) <= tol
+
+
 def test_odd_y_hamiltonian_keeps_complex_eigh():
-    layout = continuous_layout(3)
+    layout = layout_for("continuous", 3)
     h = map_hamiltonian(trijunction_h(CONFIG_12, TrijunctionParams(n=3)), layout)
     assert np.linalg.eigh(h.to_matrix())[1].dtype == np.complex128
 
