@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -284,9 +285,11 @@ def _emit(config: RunConfig, payload, wall_time: float):
         sys.stdout.write(text)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """Each command registers only the flags it reads, so any other flag exits
-    2.  Defaults live in ``RunConfig``; only ``resources`` overrides two."""
+    2.  Defaults live in ``RunConfig``; only ``resources`` overrides two.
+    Built once per process: parsing reads the parser and never changes it."""
     parser = argparse.ArgumentParser(
         prog="trijunction",
         description="Trijunction braid emulation: verification, state "

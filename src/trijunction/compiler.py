@@ -9,10 +9,13 @@ basis change onto Z, a cx ladder down the support, one rz(2*theta), and the
 mirror image: exactly 2*(w-1) entanglers.  No cross-fragment cancellation is
 attempted; counts are structural.  Everything but the rz angle depends on the
 string alone, so each string's fragment is built once and kept in a bounded
-cache of the 1024 most recent strings.
+cache of the 1024 most recent strings, keyed by the plain ints
+(num_qubits, x, z), whose hash and equality run in C.
 
 Depth is ASAP-scheduled on all-to-all connectivity: a gate starts one tick
-after the latest gate sharing any of its qubits.
+after the latest gate sharing any of its qubits.  The counter walks one step
+segment at a time with a local entangler count, and reads the depth off the
+qubit clocks at the end.
 """
 
 from __future__ import annotations
@@ -75,11 +78,13 @@ class ResourceReport:
 
 @functools.lru_cache(maxsize=1024)
 def _fragment(
-    string: PauliString,
+    num_qubits: int, x: int, z: int
 ) -> tuple[tuple[Gate, ...], int, tuple[Gate, ...]]:
-    """(head, rz qubit, tail) of a phase-free string of weight >= 1: the basis
-    change and cx ladder before the rz, and their mirror image after it.
-    Cached for the 1024 most recent strings."""
+    """(head, rz qubit, tail) of the phase-free string with bitmasks (x, z),
+    of weight >= 1: the basis change and cx ladder before the rz, and their
+    mirror image after it.  Cached on the ints for the 1024 most recent
+    strings."""
+    string = PauliString(num_qubits, x, z)
     support = string.support()
     pre: list[Gate] = []
     post: list[Gate] = []
@@ -108,7 +113,7 @@ def compile_rotation(
         raise ValueError("rotation axis must be a phase-free Hermitian string")
     if string.is_identity:
         return [], -angle
-    head, q, tail = _fragment(string)
+    head, q, tail = _fragment(string.num_qubits, string.x, string.z)
     return [*head, Gate("rz", (q,), 2.0 * angle), *tail], 0.0
 
 
@@ -152,35 +157,36 @@ def compile_adiabatic(
 def count_resources(
     circuit: Circuit, n: int = 0, method: str = "", mapping: str = ""
 ) -> ResourceReport:
-    """Entangler count and ASAP depth, with per-step entangler breakdown."""
+    """Entangler count and ASAP depth, with per-step entangler breakdown.
+
+    Walks one step segment at a time (``step_bounds`` grow, as ``mark_step``
+    records them; gates after the last bound count only in the total).  A
+    qubit's clock only grows, so the depth is the largest final clock.
+    """
     clocks = [0] * circuit.num_qubits
-    depth = 0
-    prefix = [0]  # cumulative entangler count before gate i
-    for gate in circuit.gates:
-        if gate.name == "cx":
-            a, b = gate.qubits
-            tick = 1 + max(clocks[a], clocks[b])
-            clocks[a] = clocks[b] = tick
-            prefix.append(prefix[-1] + 1)
-        else:
-            (q,) = gate.qubits
-            tick = clocks[q] = clocks[q] + 1
-            prefix.append(prefix[-1])
-        if tick > depth:
-            depth = tick
-    two_qubit = prefix[-1]
-    per_step = []
-    prev = 0
-    for bound in circuit.step_bounds:
-        per_step.append(prefix[bound] - prev)
-        prev = prefix[bound]
+    gates = circuit.gates
+    counts = []
+    start = 0
+    for end in (*circuit.step_bounds, len(gates)):
+        cx = 0
+        for name, qubits, _ in gates[start:end]:
+            if name == "cx":
+                a, b = qubits
+                tick = 1 + (clocks[a] if clocks[a] > clocks[b] else clocks[b])
+                clocks[a] = clocks[b] = tick
+                cx += 1
+            else:
+                (q,) = qubits
+                clocks[q] += 1
+        counts.append(cx)
+        start = end
     return ResourceReport(
         n=n,
         method=method,
         mapping=mapping,
-        two_qubit_count=two_qubit,
-        depth=depth,
-        per_step=tuple(per_step),
+        two_qubit_count=sum(counts),
+        depth=max(clocks, default=0),
+        per_step=tuple(counts[:-1]),
     )
 
 

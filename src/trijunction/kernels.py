@@ -8,8 +8,10 @@ a computational basis state as a permutation plus phase,
 so row i of P @ M is w(i ^ x) * M[i ^ x] for any M whose rows are indexed by
 basis states, and exp(-i*theta*P) @ M = cos(theta) M - i sin(theta) P @ M.  One
 vectorised numpy gather does this for a state vector and for a (2^Q, k) block of
-columns alike.  This is the hot inner loop of the simulator (exchange rotations
-and Trotter steps live here).  Basis convention: bit b of the index is qubit b,
+columns alike; the gathered copy is scaled in place and the result written
+over it, one temporary fewer than the two-term expression and equal to it bit
+for bit.  This is the hot inner loop of the simulator (exchange rotations and
+Trotter steps live here).  Basis convention: bit b of the index is qubit b,
 kets are written |q_{Q-1} ... q_1 q_0>.
 
 A run repeats a short list of strings thousands of times (a Trotterised
@@ -72,9 +74,16 @@ def apply_string_to_matrix(
 def _rotate(
     M: np.ndarray, num_qubits: int, x: int, z: int, phase_exp: int, theta: float
 ) -> np.ndarray:
-    """exp(-i*theta*P) @ M for a state vector or a (2^Q, k) block M."""
-    PM = apply_string_to_matrix(M, num_qubits, x, z, phase_exp)
-    return math.cos(theta) * M - 1j * math.sin(theta) * PM
+    """exp(-i*theta*P) @ M for a state vector or a (2^Q, k) block M, as a new
+    array: the gather M[perm] is scaled in place and the result written over
+    it, bit for bit cos(theta) M - i sin(theta) P @ M."""
+    if M.shape[0] != (1 << num_qubits):
+        raise ValueError(f"{M.shape[0]} rows do not match {num_qubits} qubits")
+    perm, wp = _string_action(num_qubits, x, z, phase_exp)
+    out = M[perm]
+    out *= wp if M.ndim == 1 else wp[:, None]
+    out *= 1j * math.sin(theta)
+    return np.subtract(math.cos(theta) * M, out, out=out)
 
 
 def active_backend() -> str:

@@ -25,6 +25,10 @@ digit.  Among strings of one qubit count this is exactly the
 ``(weight, label())`` order, since 'I' < 'X' < 'Y' < 'Z' and the label writes
 qubit Q-1 first; it is built with integer operations only.
 
+A :class:`PauliSum` keeps its terms canonical (see ``_canonical``).  The
+constructor converts and checks its inputs first; ``+`` merges its two
+operands, canonical already, without that check.
+
 All values are frozen, slotted dataclasses that copy and pickle; the cached
 ``PauliString._key`` is not part of a value.  Every operation is pure.
 """
@@ -183,6 +187,25 @@ def commutes(a: PauliString, b: PauliString) -> bool:
     return ((a.x & b.z).bit_count() + (a.z & b.x).bit_count()) % 2 == 0
 
 
+def _canonical(
+    terms: Iterable[tuple[float, PauliString]],
+) -> tuple[tuple[float, PauliString], ...]:
+    """Real-weighted phase-free strings merged by :meth:`PauliString.sort_key`
+    (injective among strings of one qubit count): coefficients summed in input
+    order from 0.0, |c| <= 1e-12 pruned, the rest in key order."""
+    coeffs: dict[tuple[int, int], float] = {}
+    strings: dict[tuple[int, int], PauliString] = {}
+    for c, string in terms:
+        key = string.sort_key()
+        coeffs[key] = coeffs.get(key, 0.0) + c
+        strings[key] = string
+    return tuple(
+        (coeffs[key], strings[key])
+        for key in sorted(coeffs)
+        if abs(coeffs[key]) > 1e-12
+    )
+
+
 def to_matrix(s: PauliString) -> np.ndarray:
     """Dense 2^Q x 2^Q realisation; permutation-plus-phase fill, no krons."""
     if s.num_qubits > DENSE_QUBIT_LIMIT:
@@ -213,23 +236,26 @@ class PauliSum:
     def __init__(
         self, num_qubits: int, terms: Iterable[tuple[complex, PauliString]] = ()
     ):
-        merged: dict[tuple[int, int], float] = {}
-        strings: dict[tuple[int, int], PauliString] = {}
+        real_terms = []
         for coeff, string in terms:
             if string.num_qubits != num_qubits:
                 raise ValueError("term qubit count mismatch")
             c = complex(coeff) * string.phase
             if abs(c.imag) > 1e-12:
                 raise ValueError(f"non-Hermitian term with coefficient {c}")
-            key = (string.x, string.z)
-            merged[key] = merged.get(key, 0.0) + c.real
-            strings[key] = string.drop_phase()
-        kept = [
-            (merged[key], strings[key]) for key in merged if abs(merged[key]) > 1e-12
-        ]
-        kept.sort(key=lambda item: item[1].sort_key())
+            real_terms.append((c.real, string.drop_phase()))
         object.__setattr__(self, "num_qubits", num_qubits)
-        object.__setattr__(self, "terms", tuple(kept))
+        object.__setattr__(self, "terms", _canonical(real_terms))
+
+    @classmethod
+    def _of(
+        cls, num_qubits: int, terms: tuple[tuple[float, PauliString], ...]
+    ) -> "PauliSum":
+        """A sum whose ``terms`` are already canonical, taken as they are."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "num_qubits", num_qubits)
+        object.__setattr__(out, "terms", terms)
+        return out
 
     def __len__(self) -> int:
         return len(self.terms)
@@ -237,7 +263,7 @@ class PauliSum:
     def __add__(self, other: "PauliSum") -> "PauliSum":
         if self.num_qubits != other.num_qubits:
             raise ValueError("summands act on different qubit counts")
-        return PauliSum(self.num_qubits, (*self.terms, *other.terms))
+        return PauliSum._of(self.num_qubits, _canonical((*self.terms, *other.terms)))
 
     def __mul__(self, scalar: float) -> "PauliSum":
         if type(scalar) not in (int, float):
@@ -246,10 +272,7 @@ class PauliSum:
                 self.num_qubits, ((scalar * c, s) for c, s in self.terms)
             )
         terms = tuple((v, s) for c, s in self.terms if abs(v := scalar * c) > 1e-12)
-        scaled = object.__new__(PauliSum)
-        object.__setattr__(scaled, "num_qubits", self.num_qubits)
-        object.__setattr__(scaled, "terms", terms)
-        return scaled
+        return PauliSum._of(self.num_qubits, terms)
 
     __rmul__ = __mul__
 

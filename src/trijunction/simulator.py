@@ -292,8 +292,9 @@ def evolve_exact(psi: np.ndarray, h: PauliSum, t: float) -> np.ndarray:
 
 def trotter_step(psi: np.ndarray, h: PauliSum, dt: float, reps: int = 1) -> np.ndarray:
     """First-order product formula for exp(-i*H*dt) in the fixed term order."""
-    for string, angle in trotter_rotations(h, dt, reps):
-        psi = apply_rotation(psi, string, angle)
+    rotate = kernels.apply_rotation
+    for p, angle in trotter_rotations(h, dt, reps):
+        psi = rotate(psi, p.num_qubits, p.x, p.z, p.phase_exp, angle)
     return psi
 
 

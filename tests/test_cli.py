@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import trijunction
+from trijunction import cli
 from trijunction.cli import main
 
 
@@ -322,6 +323,7 @@ import numpy as np
 calls = []
 for name in ("eigh", "eigvalsh"):
     setattr(np.linalg, name, lambda *a, name=name, **k: calls.append(name))
+from trijunction import cli
 from trijunction.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [main([cmd, "--sites", "2"]) for cmd in ("verify", "braid", "adiabatic")]
@@ -333,3 +335,38 @@ print(codes, calls, "numpy.random" in sys.modules)
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout == "[0, 0, 0] [] False\n"
+
+
+def without_wall_time(out):
+    """stdout with the JSON ``meta`` block (which holds the wall time) removed."""
+    if not out.startswith("{"):
+        return out
+    doc = json.loads(out)
+    doc.pop("meta")
+    return doc
+
+
+def test_one_parser_serves_calls_in_a_row(capsys):
+    """The parser is built once per process; a run of ``main`` calls through
+    it gives what each call gives through a parser of its own."""
+    sequence = [
+        ["resources", "--sites", "2", "--format", "csv"],
+        ["verify", "--sites", "1"],
+        ["verify", "--sites", "1", "--bogus"],
+        ["adiabatic", "--sites", "1", "--steps", "2"],
+        ["braid", "--sites", "1", "--mapping", "continuous"],
+        ["verify", "--sites", "0"],
+        ["resources", "--sites", "2", "--format", "csv"],
+    ]
+    cli._build_parser.cache_clear()
+    in_a_row = [run(capsys, *argv) for argv in sequence]
+    assert cli._build_parser.cache_info().misses == 1
+    assert cli._build_parser() is cli._build_parser()
+    for argv, (code, out, err) in zip(sequence, in_a_row):
+        cli._build_parser.cache_clear()
+        alone_code, alone_out, alone_err = run(capsys, *argv)
+        assert (code, err) == (alone_code, alone_err), argv
+        assert without_wall_time(out) == without_wall_time(alone_out), argv
+    assert [code for code, _, _ in in_a_row] == [0, 0, 2, 2, 0, 2, 0]
+    assert "unrecognized arguments: --bogus" in in_a_row[2][2]
+    assert "unrecognized arguments: --steps 2" in in_a_row[3][2]

@@ -306,3 +306,74 @@ def test_phased_copy_of_cached_string_still_raises():
     for phase_exp in (1, 2, 3):
         with pytest.raises(ValueError):
             compile_rotation(PauliString(3, string.x, string.z, phase_exp), 0.2)
+
+
+def reference_count(circuit):
+    """The per-gate counter: a prefix sum of entanglers over every gate, and
+    the depth as the largest tick any gate received."""
+    clocks = [0] * circuit.num_qubits
+    depth = 0
+    prefix = [0]  # cumulative entangler count before gate i
+    for gate in circuit.gates:
+        if gate.name == "cx":
+            a, b = gate.qubits
+            tick = 1 + max(clocks[a], clocks[b])
+            clocks[a] = clocks[b] = tick
+            prefix.append(prefix[-1] + 1)
+        else:
+            (q,) = gate.qubits
+            tick = clocks[q] = clocks[q] + 1
+            prefix.append(prefix[-1])
+        if tick > depth:
+            depth = tick
+    per_step = []
+    prev = 0
+    for bound in circuit.step_bounds:
+        per_step.append(prefix[bound] - prev)
+        prev = prefix[bound]
+    return prefix[-1], depth, tuple(per_step)
+
+
+def random_circuit(rng, num_qubits, size, bounds):
+    circuit = Circuit(num_qubits)
+    for _ in range(size):
+        if num_qubits > 1 and rng.random() < 0.4:
+            a, b = rng.choice(num_qubits, size=2, replace=False)
+            circuit.gates.append(Gate("cx", (int(a), int(b))))
+        else:
+            name = str(rng.choice(["h", "s", "sdg", "rz"]))
+            angle = float(rng.normal()) if name == "rz" else None
+            circuit.gates.append(Gate(name, (int(rng.integers(num_qubits)),), angle))
+    # Sorted draws with replacement: repeated bounds, bounds at 0 and at the
+    # end, and (unless a bound lands there) gates after the last bound.
+    circuit.step_bounds = sorted(int(b) for b in rng.integers(0, size + 1, size=bounds))
+    return circuit
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_count_resources_matches_the_per_gate_reference(seed):
+    rng = np.random.default_rng(300 + seed)
+    circuits = [Circuit(0), Circuit(3), Circuit(2, step_bounds=[0, 0])]
+    for _ in range(25):
+        num_qubits = int(rng.integers(1, 7))
+        size = int(rng.integers(0, 60))
+        circuits.append(random_circuit(rng, num_qubits, size, int(rng.integers(0, 6))))
+    for circuit in circuits:
+        report = count_resources(circuit)
+        want = reference_count(circuit)
+        assert (report.two_qubit_count, report.depth, report.per_step) == want
+    assert count_resources(Circuit(0)).depth == 0
+
+
+def test_count_resources_matches_the_reference_on_compiled_circuits():
+    layout = layout_for("continuous", 2)
+    circuits = [
+        compile_braiding(layout),
+        compile_braiding(coupler_layout(2), steps=3),
+        compile_adiabatic(layout, TrijunctionParams(n=2), 1.0, 3, reps=2),
+    ]
+    for circuit in circuits:
+        circuit.gates.append(Gate("cx", (0, 1)))  # a gate after the last bound
+        report = count_resources(circuit)
+        want = reference_count(circuit)
+        assert (report.two_qubit_count, report.depth, report.per_step) == want

@@ -155,3 +155,40 @@ def test_more_strings_than_the_cache_holds_stay_correct():
             want = uncached_rotation(psi, num_qubits, x, z, 0, 0.4)
             assert np.array_equal(got, want)
     assert kernels._string_action.cache_info().currsize == maxsize
+
+
+def bit_pattern(a):
+    """Each real and imaginary part as its raw 64-bit word, so that a signed
+    zero differs from an unsigned one."""
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def zero_rich(rng, shape):
+    """Complex entries whose parts are signed zeros, +-1 or normal draws."""
+    M = np.empty(shape, dtype=np.complex128)
+    for part in (M.real, M.imag):
+        special = rng.choice([0.0, -0.0, 1.0, -1.0], size=shape)
+        part[...] = np.where(rng.random(shape) < 0.5, special, rng.normal(size=shape))
+    return M
+
+
+@pytest.mark.parametrize("phase_exp", range(4))
+@pytest.mark.parametrize("cols", [None, 1, 3])
+def test_fused_rotation_is_bitwise_the_two_term_formula(phase_exp, cols):
+    """The in-place kernel gives cos(theta) M - i sin(theta) (P @ M) to the
+    bit, signed zeros included, and leaves its input as it was."""
+    rng = np.random.default_rng(400 + 10 * phase_exp + (cols or 0))
+    for num_qubits in (1, 3, 6):
+        dim = 1 << num_qubits
+        shape = (dim,) if cols is None else (dim, cols)
+        for theta in (0.0, -0.0, 0.37, -1.2, math.pi / 2, -math.pi / 2, math.pi):
+            x = int(rng.integers(0, dim))
+            z = int(rng.integers(0, dim))
+            M = zero_rich(rng, shape)
+            keep = M.copy()
+            rotate = kernels.apply_rotation if cols is None else kernels.rotate_matrix
+            got = rotate(M, num_qubits, x, z, phase_exp, theta)
+            want = uncached_rotation(M, num_qubits, x, z, phase_exp, theta)
+            assert got.shape == shape
+            assert np.array_equal(bit_pattern(got), bit_pattern(want))
+            assert np.array_equal(bit_pattern(M), bit_pattern(keep))

@@ -7,6 +7,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from trijunction.hamiltonians import Configuration, TrijunctionParams, trijunction_h
 from trijunction.mappings import coupler_layout, map_hamiltonian
@@ -412,3 +413,49 @@ def test_fields_cannot_be_assigned(value, names):
     for name in names:
         with pytest.raises(AttributeError):
             setattr(value, name, getattr(value, name))
+
+
+@st.composite
+def summand_pairs(draw):
+    """Two canonical sums on one qubit count, each possibly scaled as in an
+    interpolation.  Some of b's terms cancel a's exactly, some leave a
+    remainder of at most 1e-12, and the rest fall on any string."""
+    n = draw(st.integers(1, 5))
+    mask = st.integers(0, (1 << n) - 1)
+    string = st.builds(PauliString, st.just(n), mask, mask)
+    coeff = st.one_of(st.floats(-10.0, 10.0), st.floats(-1e-11, 1e-11))
+    a = PauliSum(n, draw(st.lists(st.tuples(coeff, string), max_size=8)))
+    b_terms = draw(st.lists(st.tuples(coeff, string), max_size=8))
+    for c, s in a.terms:
+        kind = draw(st.sampled_from(("keep", "cancel", "remainder")))
+        if kind == "cancel":
+            b_terms.append((-c, s))
+        elif kind == "remainder":
+            b_terms.append((-c + draw(st.floats(-1e-12, 1e-12)), s))
+    b = PauliSum(n, b_terms)
+    lam = draw(st.sampled_from((None, 0.0, 0.5, 1.0 / 3.0)))
+    if lam is None:
+        return a, b
+    return (1.0 - lam) * a, lam * b
+
+
+def labelled(num_qubits, *terms):
+    return PauliSum(num_qubits, [(c, PauliString.from_label(s)) for c, s in terms])
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair=summand_pairs())
+@example(pair=(PauliSum(3), PauliSum(3)))
+@example(pair=(PauliSum(2), labelled(2, (0.5, "XY"))))
+@example(pair=(labelled(2, (0.7, "ZI"), (1.5, "XX")), labelled(2, (-0.7, "ZI"))))
+@example(pair=(labelled(1, (1e-11, "Z")), labelled(1, (-9.5e-12, "Z"))))
+@example(pair=(labelled(2, (0.5, "IZ")), labelled(2, (2.0, "XI"), (-1.0, "YI"))))
+def test_addition_equals_the_constructor_on_the_joined_terms(pair):
+    """``a + b`` merges two canonical sums into exactly the terms the checked
+    constructor builds from both term lists, to the bit."""
+    a, b = pair
+    got = (a + b).terms
+    assert bits(got) == bits(PauliSum(a.num_qubits, (*a.terms, *b.terms)).terms)
+    keys = [s.sort_key() for _, s in got]
+    assert keys == sorted(set(keys))
+    assert all(abs(c) > 1e-12 and s.phase_exp == 0 for c, s in got)
