@@ -196,10 +196,7 @@ def cmd_braid(config: RunConfig) -> tuple[dict, bool]:
         )
         results["swap_ok"] = passed
         ok = passed
-    if config.fmt == "json":
-        results["final_state_plus"] = [
-            [_f(a.real), _f(a.imag)] for a in finals["plus"]
-        ]
+    results["final_state_plus"] = [[_f(a.real), _f(a.imag)] for a in finals["plus"]]
     results["checks_passed"] = ok
     return results, ok
 
@@ -239,7 +236,6 @@ def cmd_resources(config: RunConfig) -> tuple[list[dict], bool]:
         mappings,
         substeps=config.trotter_steps,
         reps=config.reps,
-        tau=config.tau,
     )
     rows = [
         {
@@ -318,9 +314,10 @@ def _build_parser() -> argparse.ArgumentParser:
         if name in ("verify", "braid"):
             p.add_argument("--steps", type=int)
         else:
-            p.add_argument("--tau", type=float)
             p.add_argument("--trotter-steps", type=int)
             p.add_argument("--reps", type=int)
+        if name == "adiabatic":
+            p.add_argument("--tau", type=float)
         p.add_argument("--format", choices=["json", "csv"], dest="fmt")
         p.add_argument("--out")
     return parser
@@ -345,7 +342,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         # Only ``resources`` has --method; its braiding sweep is not Trotterised.
         if config.method == "braiding":
-            for name in ("tau", "trotter_steps", "reps"):
+            for name in ("trotter_steps", "reps"):
                 if name in given:
                     raise ConfigError(
                         f"--{name.replace('_', '-')} is not read by --method braiding"

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -58,12 +58,6 @@ class Circuit:
     global_phase: float = 0.0
     # gate-count boundaries after each protocol step / transition
     step_bounds: list[int] = field(default_factory=list)
-
-    def append(self, gates: Iterable[Gate]):
-        self.gates.extend(gates)
-
-    def mark_step(self):
-        self.step_bounds.append(len(self.gates))
 
 
 @dataclass(frozen=True)
@@ -124,9 +118,9 @@ def compile_braiding(layout: QubitLayout, steps: int = 6) -> Circuit:
         for o in build_sub_operators(step, layout.n):
             string, theta = exchange_rotation(o, layout)
             gates, phase = compile_rotation(string, theta)
-            circuit.append(gates)
+            circuit.gates.extend(gates)
             circuit.global_phase += phase
-        circuit.mark_step()
+        circuit.step_bounds.append(len(circuit.gates))
     return circuit
 
 
@@ -148,9 +142,9 @@ def compile_adiabatic(
         for h_s, dt in trotter_slices(mapped[ci], mapped[cf], tau, substeps):
             for string, angle in trotter_rotations(h_s, dt, reps):
                 gates, phase = compile_rotation(string, angle)
-                circuit.append(gates)
+                circuit.gates.extend(gates)
                 circuit.global_phase += phase
-        circuit.mark_step()
+        circuit.step_bounds.append(len(circuit.gates))
     return circuit
 
 
@@ -159,9 +153,10 @@ def count_resources(
 ) -> ResourceReport:
     """Entangler count and ASAP depth, with per-step entangler breakdown.
 
-    Walks one step segment at a time (``step_bounds`` grow, as ``mark_step``
-    records them; gates after the last bound count only in the total).  A
-    qubit's clock only grows, so the depth is the largest final clock.
+    Walks one step segment at a time (``step_bounds`` holds the gate count at
+    the end of each step, in order; gates after the last bound count only in
+    the total).  A qubit's clock only grows, so the depth is the largest
+    final clock.
     """
     clocks = [0] * circuit.num_qubits
     gates = circuit.gates
@@ -196,7 +191,6 @@ def sweep(
     mappings: Sequence[str] = ("continuous", "coupler"),
     substeps: int = 10,
     reps: int = 1,
-    tau: float = 1.0,
 ) -> list[ResourceReport]:
     """One report per (n, method, mapping), ordered exactly that way."""
     reports = []
@@ -208,7 +202,8 @@ def sweep(
                     circuit = compile_braiding(layout, steps=6)
                 elif method == "adiabatic":
                     params = TrijunctionParams(n=n)
-                    circuit = compile_adiabatic(layout, params, tau, substeps, reps)
+                    # tau only sets rz angles, which count_resources never reads
+                    circuit = compile_adiabatic(layout, params, 1.0, substeps, reps)
                 else:
                     raise ValueError(f"unknown method {method!r}")
                 reports.append(count_resources(circuit, n, method, mapping))

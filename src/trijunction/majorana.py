@@ -33,16 +33,13 @@ __all__ = [
     "protocol_steps",
 ]
 
-_ORIENT_RANK = {"x": 0, "y": 1}
-
 
 class MajoranaIndex(NamedTuple):
+    """One mode; tuple order, with 'x' < 'y', is the canonical mode order."""
+
     arm: int
     site: int
     orientation: str
-
-    def sort_key(self) -> tuple[int, int, int]:
-        return (self.arm, self.site, _ORIENT_RANK[self.orientation])
 
 
 def _mode(arm: int, site: int, orientation: str) -> MajoranaIndex:
@@ -72,7 +69,7 @@ def normalize(m: MajoranaMonomial) -> MajoranaMonomial:
     sign = 1
     for i in range(1, len(factors)):
         j = i
-        while j > 0 and factors[j].sort_key() < factors[j - 1].sort_key():
+        while j > 0 and factors[j] < factors[j - 1]:
             factors[j], factors[j - 1] = factors[j - 1], factors[j]
             sign = -sign
             j -= 1
@@ -101,7 +98,7 @@ class MajoranaHamiltonian:
         kept = [
             MajoranaMonomial(c, f) for f, c in merged.items() if abs(c) > 1e-12
         ]
-        kept.sort(key=lambda t: tuple(f.sort_key() for f in t.factors))
+        kept.sort(key=lambda t: t.factors)
         object.__setattr__(self, "terms", tuple(kept))
         object.__setattr__(self, "n", n)
 

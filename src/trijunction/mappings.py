@@ -99,7 +99,7 @@ def map_monomial(
     m: MajoranaMonomial, layout: QubitLayout
 ) -> tuple[complex, PauliString]:
     """Product of mapped factors; the group phase folds into the coefficient."""
-    string = PauliString.identity(layout.total_qubits)
+    string = PauliString(layout.total_qubits)
     for f in m.factors:
         string = multiply(string, map_majorana(f, layout))
     return m.coefficient * string.phase, string.drop_phase()

@@ -99,10 +99,6 @@ class PauliString:
         object.__setattr__(self, "_key", None)
 
     @classmethod
-    def identity(cls, num_qubits: int) -> "PauliString":
-        return cls(num_qubits)
-
-    @classmethod
     def from_label(cls, label: str, phase_exp: int = 0) -> "PauliString":
         """Build from a ket-ordered label, leftmost character = qubit Q-1; the
         one parser of axis letters ('IXYZ', either case)."""
@@ -151,12 +147,6 @@ class PauliString:
             key = (self.weight, _spread(self.x ^ self.z) | _spread(self.z) << 1)
             object.__setattr__(self, "_key", key)
         return key
-
-    def to_matrix(self) -> np.ndarray:
-        return to_matrix(self)
-
-    def __mul__(self, other: "PauliString") -> "PauliString":
-        return multiply(self, other)
 
     def __repr__(self) -> str:
         sign = ("+", "+i*", "-", "-i*")[self.phase_exp]

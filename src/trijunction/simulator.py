@@ -48,7 +48,7 @@ from .hamiltonians import (
     trotter_slices,
     zero_mode_pair,
 )
-from .majorana import ExchangeOperator, braid_exchanges
+from .majorana import braid_exchanges
 from .mappings import QubitLayout, exchange_rotation, gauge_operator, map_hamiltonian, map_majorana, map_monomial
 from .pauli import DENSE_QUBIT_LIMIT, PauliString, PauliSum, commutes, multiply
 
@@ -56,7 +56,6 @@ __all__ = [
     "BraidReport",
     "GroundSpace",
     "apply_braid",
-    "apply_exchange",
     "apply_rotation",
     "braid_unitary",
     "evolve_exact",
@@ -87,17 +86,10 @@ def apply_rotation(psi: np.ndarray, string: PauliString, theta: float) -> np.nda
     )
 
 
-def apply_exchange(
-    psi: np.ndarray, o: ExchangeOperator, layout: QubitLayout
-) -> np.ndarray:
-    string, theta = exchange_rotation(o, layout)
-    return apply_rotation(psi, string, theta)
-
-
 def apply_braid(psi: np.ndarray, layout: QubitLayout, steps: int = 6) -> np.ndarray:
     """Apply the exchange sequence of the first ``steps`` protocol steps."""
     for o in braid_exchanges(layout.n, steps):
-        psi = apply_exchange(psi, o, layout)
+        psi = apply_rotation(psi, *exchange_rotation(o, layout))
     return psi
 
 
@@ -136,7 +128,6 @@ class GroundSpace:
 @dataclass(frozen=True)
 class BraidReport:
     ugs: np.ndarray
-    eigenphases: np.ndarray
     dphi: float
     unitarity_defect: float
 
@@ -281,7 +272,7 @@ def project_braid(U: np.ndarray, gs: GroundSpace) -> BraidReport:
     lam = np.linalg.eigvals(W)
     dphi = float(abs(np.angle(lam[1] * np.conj(lam[0]))))
     defect = float(np.linalg.norm(W.conj().T @ W - np.eye(2), 2))
-    return BraidReport(W, np.angle(lam), dphi, defect)
+    return BraidReport(W, dphi, defect)
 
 
 def evolve_exact(psi: np.ndarray, h: PauliSum, t: float) -> np.ndarray:

@@ -75,6 +75,45 @@ def test_resources_default_sweep_row_count(capsys):
     assert list(rows[0]) == ["n", "method", "mapping", "two_qubit_count", "depth"]
 
 
+@pytest.mark.parametrize(
+    "argv, header, json_only",
+    [
+        (
+            ["verify", "--sites", "1"],
+            "dphi_single,unitarity_defect_single,dphi_single_ok,dphi_double,"
+            "unitarity_defect_double,dphi_double_ok,checks_passed",
+            {"ground_energies", "ugs_single", "ugs_double", "conjugation_chain"},
+        ),
+        (
+            ["braid", "--sites", "2", "--mapping", "continuous"],
+            "steps,fidelity_plus_to_opposite,fidelity_minus_to_opposite,"
+            "swap_ok,checks_passed",
+            {"final_state_plus"},
+        ),
+        (
+            ["adiabatic", "--sites", "1"],
+            "braid_fidelity,two_qubit_count,depth,minimal_setting",
+            {"per_transition_two_qubit"},
+        ),
+    ],
+    ids=["verify", "braid", "adiabatic"],
+)
+def test_state_command_csv_has_the_scalar_results_only(capsys, argv, header, json_only):
+    # CSV is one row of the scalar results in payload order; lists, states
+    # and matrices appear in JSON only.
+    code, out, _ = run(capsys, *argv, "--format", "csv")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == header
+    assert len(lines) == 2
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    results = json.loads(out)["results"]
+    assert set(results) == set(header.split(",")) | json_only
+    if argv[0] == "braid":
+        assert len(results["final_state_plus"]) == 2**6  # 3n qubits at n = 2
+
+
 def test_resources_orderings_visible_in_output(capsys):
     code, out, _ = run(capsys, "resources", "--sites", "3", "--format", "csv")
     assert code == 0
@@ -173,6 +212,7 @@ def test_zero_coupling_exits_two(capsys, flag):
         ("resources", "--delta", "2"),
         ("resources", "--alpha", "0.5"),
         ("resources", "--tcoupling", "1.75"),
+        ("resources", "--tau", "5"),
     ],
 )
 def test_unread_flag_exits_two(capsys, command, flag, value):
@@ -213,7 +253,6 @@ def test_unwritable_out_exits_two(capsys, tmp_path, where):
         ("braiding", "--tau", "5", 2),
         ("braiding", "--trotter-steps", "3", 2),
         ("braiding", "--reps", "2", 2),
-        ("adiabatic", "--tau", "5", 0),
         ("both", "--trotter-steps", "3", 0),
         ("both", "--reps", "2", 0),
     ],

@@ -63,7 +63,7 @@ def test_entangler_count_matches_weight_rule():
 
 
 def test_weight_zero_is_a_recorded_phase():
-    gates, phase = compile_rotation(PauliString.identity(3), 0.4)
+    gates, phase = compile_rotation(PauliString(3), 0.4)
     assert gates == []
     assert phase == pytest.approx(-0.4)
 

@@ -14,6 +14,7 @@ from trijunction.hamiltonians import (
 )
 from trijunction.majorana import MajoranaIndex
 from trijunction.mappings import coupler_layout, layout_for, map_hamiltonian
+from trijunction.pauli import to_matrix
 from trijunction.simulator import trotter_adiabatic
 
 
@@ -110,7 +111,7 @@ def test_zero_mode_pair_commutes_with_its_hamiltonian():
         from trijunction.mappings import map_monomial
 
         c, s = map_monomial(zero_mode_pair(config, n), layout)
-        P = c.real * s.to_matrix()
+        P = c.real * to_matrix(s)
         H = h.to_matrix()
         assert np.linalg.norm(P @ H - H @ P) < 1e-12
         np.testing.assert_allclose(P @ P, np.eye(P.shape[0]), atol=1e-12)

@@ -5,6 +5,7 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from trijunction.majorana import (
     BraidStep,
@@ -47,6 +48,50 @@ def test_normalize_orientation_order():
     # y before x at the same (arm, site) costs one sign
     out = normalize(mono(1j, g(1, 0, "y"), g(1, 0, "x"), g(1, 1, "x")))
     assert out == mono(-1j, g(1, 0, "x"), g(1, 0, "y"), g(1, 1, "x"))
+
+
+ORIENT_RANK = {"x": 0, "y": 1}
+MODES = st.builds(
+    MajoranaIndex, st.integers(1, 3), st.integers(0, 3), st.sampled_from("xy")
+)
+
+
+def reference_key(f):
+    return (f.arm, f.site, ORIENT_RANK[f.orientation])
+
+
+def reference_normalize(coefficient, factors):
+    """Insertion sort by an explicit rank table, one sign per transposition,
+    then adjacent equal factors cancel (g**2 = 1)."""
+    factors, sign = list(factors), 1
+    for i in range(1, len(factors)):
+        for j in range(i, 0, -1):
+            if reference_key(factors[j]) >= reference_key(factors[j - 1]):
+                break
+            factors[j - 1], factors[j] = factors[j], factors[j - 1]
+            sign = -sign
+    reduced = []
+    for f in factors:
+        if reduced and reduced[-1] == f:
+            reduced.pop()
+        else:
+            reduced.append(f)
+    return MajoranaMonomial(sign * coefficient, tuple(reduced))
+
+
+@settings(max_examples=300, deadline=None)
+@given(factors=st.lists(MODES, max_size=6))
+def test_normalize_matches_the_rank_table_reference(factors):
+    m = mono(1.5, *factors)
+    assert normalize(m) == reference_normalize(1.5, factors)
+
+
+@settings(max_examples=100, deadline=None)
+@given(terms=st.lists(st.lists(MODES, max_size=6), max_size=8))
+def test_hamiltonian_terms_follow_the_rank_table_order(terms):
+    h = MajoranaHamiltonian([mono(1.0, *fs) for fs in terms], n=4)
+    keys = [tuple(map(reference_key, t.factors)) for t in h.terms]
+    assert keys == sorted(keys)
 
 
 def test_normalize_is_idempotent():

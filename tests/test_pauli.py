@@ -48,12 +48,12 @@ def test_single_qubit_products():
     assert multiply(Y, X) == PauliString.from_label("Z", phase_exp=3)
     assert multiply(Y, Z) == PauliString.from_label("X", phase_exp=1)
     assert multiply(Z, X) == PauliString.from_label("Y", phase_exp=1)
-    assert multiply(X, X) == PauliString.identity(1)
+    assert multiply(X, X) == PauliString(1)
 
 
 def test_identity_multiplication_is_neutral():
     rng = np.random.default_rng(0)
-    ident = PauliString.identity(3)
+    ident = PauliString(3)
     for _ in range(20):
         s = random_string(rng, 3)
         assert multiply(ident, s) == s
@@ -136,14 +136,14 @@ def test_commutes_cases():
 
 def test_length_mismatch_raises():
     with pytest.raises(ValueError):
-        multiply(PauliString.identity(2), PauliString.identity(3))
+        multiply(PauliString(2), PauliString(3))
     with pytest.raises(ValueError):
-        commutes(PauliString.identity(2), PauliString.identity(3))
+        commutes(PauliString(2), PauliString(3))
 
 
 def test_dense_limit_enforced():
     with pytest.raises(ValueError):
-        to_matrix(PauliString.identity(DENSE_QUBIT_LIMIT + 1))
+        to_matrix(PauliString(DENSE_QUBIT_LIMIT + 1))
 
 
 def test_weight_and_label_roundtrip():

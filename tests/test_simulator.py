@@ -11,7 +11,12 @@ from trijunction.hamiltonians import (
     trijunction_h,
     zero_mode_pair,
 )
-from trijunction.majorana import MajoranaIndex, braid_exchanges, conjugate_monomial
+from trijunction.majorana import (
+    MajoranaIndex,
+    MajoranaMonomial,
+    braid_exchanges,
+    conjugate_monomial,
+)
 from trijunction.mappings import (
     coupler_layout,
     exchange_rotation,
@@ -26,7 +31,6 @@ from trijunction.cli import PHASE_TOL_LARGER, PHASE_TOL_SINGLE_SITE
 from trijunction.pauli import PauliString, PauliSum, commutes, multiply, to_matrix
 from trijunction.simulator import (
     apply_braid,
-    apply_exchange,
     apply_rotation,
     braid_unitary,
     evolve_exact,
@@ -78,16 +82,15 @@ def test_exchange_then_inverse_is_identity():
 
 
 def test_exchange_applied_twice_equals_mode_pair_action():
-    # O^2 = g_k g_l, i.e. exp(-i*(pi/2)*P) up to the same convention
+    # O = (1 + g_k g_l)/sqrt(2) squares to g_k g_l, since (g_k g_l)^2 = -1
     rng = np.random.default_rng(32)
     layout = coupler_layout(1)
     psi = random_state(rng, 4)
     o = braid_exchanges(1, 1)[0]
-    string, theta = exchange_rotation(o, layout)
-    twice = apply_exchange(apply_exchange(psi, o, layout), o, layout)
-    np.testing.assert_allclose(
-        twice, apply_rotation(psi, string, 2 * theta), atol=1e-12
-    )
+    rotation = exchange_rotation(o, layout)
+    twice = apply_rotation(apply_rotation(psi, *rotation), *rotation)
+    c, s = map_monomial(MajoranaMonomial(1.0, (o.k, o.l)), layout)
+    np.testing.assert_allclose(twice, c * to_matrix(s) @ psi, atol=1e-12)
 
 
 def test_single_site_braid_matches_reference_block():
@@ -588,5 +591,5 @@ def test_norm_preserved_along_full_protocol():
     gs = trijunction_ground_space(CONFIG_12, TrijunctionParams(n=2), layout)
     psi = prepare_initial(gs, +1)
     for o in braid_exchanges(2, 6):
-        psi = apply_exchange(psi, o, layout)
+        psi = apply_rotation(psi, *exchange_rotation(o, layout))
         assert abs(np.linalg.norm(psi) - 1.0) < 1e-12
