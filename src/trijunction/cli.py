@@ -23,7 +23,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import compiler, simulator
-from .hamiltonians import Configuration, TrijunctionParams, schedule, trijunction_h
+from .hamiltonians import PROTOCOL_CONFIGS, Configuration, TrijunctionParams, schedule
+from .hamiltonians import trijunction_h
 from .majorana import build_sub_operators, conjugate_hamiltonian, protocol_steps
 from .mappings import layout_for
 
@@ -117,20 +118,15 @@ def _complex_matrix(M: np.ndarray) -> list:
     return [[[_f(entry.real), _f(entry.imag)] for entry in row] for row in M]
 
 
-def _phase_tol(n: int) -> float:
-    return PHASE_TOL_SINGLE_SITE if n == 1 else PHASE_TOL_LARGER
-
-
 def _conjugation_cycle(n: int) -> list[dict]:
     """Symbolic check that each step maps its configuration Hamiltonian to
     the next one exactly."""
     params = TrijunctionParams(n=n)
+    h = {c: trijunction_h(c, params) for c in PROTOCOL_CONFIGS}
     rows = []
     for k, (step, (c_from, c_to)) in enumerate(zip(protocol_steps(), schedule())):
-        h_from = trijunction_h(c_from, params)
-        h_to = trijunction_h(c_to, params)
-        got = conjugate_hamiltonian(h_from, build_sub_operators(step, n))
-        rows.append({"step": k + 1, "ok": got == h_to})
+        got = conjugate_hamiltonian(h[c_from], build_sub_operators(step, n))
+        rows.append({"step": k + 1, "ok": got == h[c_to]})
     return rows
 
 
@@ -139,7 +135,7 @@ def cmd_verify(config: RunConfig) -> tuple[dict, bool]:
     gs = simulator.trijunction_ground_space(
         Configuration(1, 2), config.params(), layout
     )
-    tol = _phase_tol(config.sites)
+    tol = PHASE_TOL_SINGLE_SITE if config.sites == 1 else PHASE_TOL_LARGER
     results: dict = {"ground_energies": [_f(e) for e in gs.energies]}
     ok = True
 
@@ -209,9 +205,7 @@ def cmd_adiabatic(config: RunConfig) -> tuple[dict, bool]:
     circuit = compiler.compile_adiabatic(
         layout, config.params(), config.tau, config.trotter_steps, config.reps
     )
-    report = compiler.count_resources(
-        circuit, config.sites, "adiabatic", config.mapping
-    )
+    report = compiler.count_resources(circuit)
     results = {
         "braid_fidelity": _f(fid),
         "two_qubit_count": report.two_qubit_count,
@@ -238,13 +232,7 @@ def cmd_resources(config: RunConfig) -> tuple[list[dict], bool]:
         reps=config.reps,
     )
     rows = [
-        {
-            "n": r.n,
-            "method": r.method,
-            "mapping": r.mapping,
-            "two_qubit_count": r.two_qubit_count,
-            "depth": r.depth,
-        }
+        {f.name: getattr(r, f.name) for f in fields(r) if f.name != "per_step"}
         for r in reports
     ]
     return rows, True
@@ -354,6 +342,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:  # ConfigError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:  # a ground-pair certificate that fails
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     return 0 if ok else 1
 
 

@@ -28,19 +28,12 @@ __all__ = [
     "Configuration",
     "PROTOCOL_CONFIGS",
     "TrijunctionParams",
-    "levi_civita",
     "schedule",
     "trijunction_h",
     "trotter_rotations",
     "trotter_slices",
     "zero_mode_pair",
 ]
-
-
-def levi_civita(a: int, b: int, c: int) -> int:
-    if {a, b, c} != {1, 2, 3}:
-        return 0
-    return 1 if (a, b, c) in ((1, 2, 3), (2, 3, 1), (3, 1, 2)) else -1
 
 
 @dataclass(frozen=True)
@@ -60,7 +53,8 @@ class Configuration:
 
     @property
     def epsilon(self) -> int:
-        return levi_civita(self.a, self.b, self.c)
+        """eps_abc: +1 when (a, b, c) is a cyclic shift of (1, 2, 3), else -1."""
+        return 1 if (self.a, self.b) in ((1, 2), (2, 3), (3, 1)) else -1
 
 
 @dataclass(frozen=True)

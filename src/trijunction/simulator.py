@@ -217,9 +217,15 @@ def ground_space(
     # Column 1, the flip times column 0, has the same residual.  Two products
     # keep a real H real; matrix-vector ones touch no BLAS gemm buffers.
     Hg = H @ g1 if np.iscomplexobj(H) else H @ g1.real + 1j * (H @ g1.imag)
-    residual = float(np.linalg.norm(Hg - energy * g1))
-    if residual > 1e-10 * sum(abs(c) for c, _ in h.terms):
-        raise RuntimeError(f"ground pair residual {residual:.3g} is not certified")
+    # In units of the largest |c| the norm cannot overflow; NaN or inf fails.
+    scale = max((abs(c) for c, _ in h.terms), default=1.0)
+    residual = float(np.linalg.norm((Hg - energy * g1) / scale))
+    bound = 1e-10 * sum(abs(c) / scale for c, _ in h.terms)
+    if not (math.isfinite(energy) and residual <= bound):
+        raise RuntimeError(
+            f"ground pair residual {residual * scale:.3g} at energy {energy:.3g} "
+            "is not certified"
+        )
     return GroundSpace(G, np.full(2, energy))
 
 

@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import trijunction
@@ -112,6 +113,23 @@ def test_state_command_csv_has_the_scalar_results_only(capsys, argv, header, jso
     assert set(results) == set(header.split(",")) | json_only
     if argv[0] == "braid":
         assert len(results["final_state_plus"]) == 2**6  # 3n qubits at n = 2
+
+
+def test_resources_json_rows_match_the_csv_rows(capsys):
+    # The payload rows keep the CSV header order; the JSON text sorts keys.
+    header = ["n", "method", "mapping", "two_qubit_count", "depth"]
+    payload, ok = cli.cmd_resources(cli.RunConfig("resources", sites=2, mapping="both"))
+    assert ok and all(list(row) == header for row in payload)
+    code, out, _ = run(capsys, "resources", "--sites", "2", "--format", "json")
+    assert code == 0
+    rows = json.loads(out)["results"]
+    assert rows == payload
+    code, out, _ = run(capsys, "resources", "--sites", "2", "--format", "csv")
+    assert code == 0
+    csv_rows = list(csv.DictReader(out.splitlines()))
+    assert len(rows) == len(csv_rows) == 8
+    for row, csv_row in zip(rows, csv_rows):
+        assert {k: str(v) for k, v in row.items()} == csv_row
 
 
 def test_resources_orderings_visible_in_output(capsys):
@@ -326,11 +344,16 @@ def test_package_import_loads_no_submodule():
         ("verify", "--sites", "1", "--tcoupling", "1e-9"),
         ("braid", "--sites", "3", "--alpha", "1e-9"),
         ("verify", "--sites", "3", "--mapping", "continuous", "--tcoupling", "1e-9"),
+        *(
+            ("verify", "--sites", "2", "--delta", g, "--alpha", g, "--tcoupling", g)
+            for g in ("1e200", "1e300", "1e307")
+        ),
     ],
 )
 def test_tiny_gaps_keep_the_exact_phases(capsys, argv):
     # The ground pair is fixed by the signs of the terms, not by an energy
-    # window, so a gap far below 1 leaves the braid exact.
+    # window, so a gap far below 1 leaves the braid exact; the certificate
+    # works in units of the largest gap, so one far above 1 does too.
     code, out, err = run(capsys, *argv)
     assert code == 0, err
     results = json.loads(out)["results"]
@@ -341,6 +364,18 @@ def test_tiny_gaps_keep_the_exact_phases(capsys, argv):
         assert results["fidelity_plus_to_opposite"] == 1.0
         assert results["fidelity_minus_to_opposite"] == 1.0
     assert results["checks_passed"] is True
+
+
+def test_an_overflowing_energy_fails_the_certificate(capsys):
+    # At 1e308 the energy -5e308 overflows: the check fails with exit 1 and
+    # prints no payload, instead of passing on a NaN residual.
+    gap = "1e308"
+    argv = ["verify", "--sites", "2", "--delta", gap, "--alpha", gap, "--tcoupling", gap]
+    with np.errstate(all="ignore"):
+        code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ground pair residual nan at energy -inf")
 
 
 def test_a_pruned_gap_leaves_free_modes(capsys):

@@ -135,6 +135,32 @@ def test_braiding_single_site_coupler_counts():
     assert rotations == 12  # 12n rotations over the full protocol
 
 
+def reference_braiding(layout, steps):
+    """Each step's ``build_sub_operators`` exchanges compiled in order, with
+    the gate count recorded after each step."""
+    circuit = Circuit(layout.total_qubits)
+    for step in protocol_steps()[:steps]:
+        for o in build_sub_operators(step, layout.n):
+            gates, phase = compile_rotation(*exchange_rotation(o, layout))
+            circuit.gates.extend(gates)
+            circuit.global_phase += phase
+        circuit.step_bounds.append(len(circuit.gates))
+    return circuit
+
+
+@pytest.mark.parametrize("kind", ["coupler", "continuous"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_compile_braiding_step_range(kind, n):
+    layout = layout_for(kind, n)
+    for steps in range(7):
+        circuit = compile_braiding(layout, steps)
+        assert len(circuit.step_bounds) == steps
+        assert circuit == reference_braiding(layout, steps)
+    for steps in (-1, 7):
+        with pytest.raises(ValueError, match=r"steps must lie in \[0, 6\], got"):
+            compile_braiding(layout, steps)
+
+
 @pytest.mark.parametrize("kind", ["coupler", "continuous"])
 def test_braiding_rotation_count_is_12n(kind):
     for n in (1, 2, 3):

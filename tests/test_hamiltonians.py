@@ -1,5 +1,7 @@
 """Hamiltonian builders and the protocol schedule."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,6 @@ from trijunction.compiler import compile_adiabatic
 from trijunction.hamiltonians import (
     Configuration,
     TrijunctionParams,
-    levi_civita,
     schedule,
     trijunction_h,
     zero_mode_pair,
@@ -22,11 +23,13 @@ def g(arm, site, orientation):
     return MajoranaIndex(arm, site, orientation)
 
 
-def test_levi_civita_values():
-    assert levi_civita(1, 2, 3) == 1
-    assert levi_civita(1, 3, 2) == -1
-    assert levi_civita(2, 3, 1) == 1
-    assert levi_civita(1, 1, 2) == 0
+def test_epsilon_is_the_antisymmetric_symbol():
+    cyclic = {(1, 2, 3), (2, 3, 1), (3, 1, 2)}
+    for a, b, c in itertools.permutations((1, 2, 3)):
+        cfg = Configuration(a, b)
+        assert cfg.c == c
+        assert cfg.epsilon == (1 if (a, b, c) in cyclic else -1)
+        assert cfg.epsilon == -Configuration(b, a).epsilon
 
 
 def test_configuration_fields():

@@ -417,6 +417,17 @@ def test_ground_space_is_certified_by_the_dense_matrix(monkeypatch):
         trijunction_ground_space(CONFIG_12, TrijunctionParams(n=1), layout)
 
 
+def test_ground_space_certificate_is_scale_free():
+    """The residual is measured in units of the largest |c|: its rounding
+    error at 1e300 does not overflow the norm, and it needs no term."""
+    z, x = PauliString.from_label("Z"), PauliString.from_label("X")
+    gs = ground_space(PauliSum(1), (1.0, z), x)
+    np.testing.assert_array_equal(gs.energies, [0.0, 0.0])
+    params = TrijunctionParams(n=2, delta=1e300, alpha=1e300, t_junction=1e300)
+    gs = trijunction_ground_space(CONFIG_12, params, coupler_layout(2))
+    np.testing.assert_array_equal(gs.energies, [-5e300, -5e300])
+
+
 GAP = st.floats(-3.0, 3.0).map(lambda e: 10.0**e)  # log-uniform on [1e-3, 1e3]
 
 
