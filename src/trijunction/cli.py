@@ -18,7 +18,6 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -30,83 +29,81 @@ from .mappings import layout_for
 
 __all__ = ["main", "cmd_verify", "cmd_braid", "cmd_adiabatic", "cmd_resources"]
 
-PHASE_TOL_SINGLE_SITE = 1e-9
-PHASE_TOL_LARGER = 1e-6
+PHASE_TOL = 1e-9
 BRAID_FIDELITY_TOL = 1e-9
 
 _EXPECTED_DPHI = {0: 0.0, 3: math.pi / 2.0, 6: math.pi}
+
+# Each command's flags, as dests, with the value an omitted flag means.  The
+# parser registers exactly these plus --format and --out, and ``config``
+# echoes them.
+_GAPS = {"delta": 1.0, "alpha": 1.0, "tcoupling": 1.0}
+_LATTICE = {"sites": 1, "mapping": "coupler", **_GAPS}
+_TROTTER = {"trotter_steps": 10, "reps": 1}
+_DEFAULTS = {
+    "verify": {**_LATTICE, "steps": None},
+    "braid": {**_LATTICE, "steps": None},
+    "adiabatic": {**_LATTICE, "tau": 1.0, **_TROTTER},
+    "resources": {"sites": 4, "mapping": "both", "method": "both", **_TROTTER},
+}
+_OUTPUT = {"format": "json", "out": None}
+
+# argparse keywords per dest; a command's default is always one of the choices.
+_ARGUMENTS = {
+    "sites": {"type": int},
+    "mapping": {"choices": ["coupler", "continuous"]},
+    "method": {"choices": ["braiding", "adiabatic", "both"]},
+    "steps": {"type": int},
+    "tau": {"type": float},
+    "trotter_steps": {"type": int},
+    "reps": {"type": int},
+    "delta": {"type": float},
+    "alpha": {"type": float},
+    "tcoupling": {"type": float},
+    "format": {"choices": ["json", "csv"]},
+    "out": {},
+}
 
 
 class ConfigError(ValueError):
     pass
 
 
-@dataclass
-class RunConfig:
-    command: str
-    sites: int = 1
-    mapping: str = "coupler"
-    method: str = "both"
-    tau: float = 1.0
-    trotter_steps: int = 10
-    reps: int = 1
-    steps: int | None = None
-    delta: float = 1.0
-    alpha: float = 1.0
-    tcoupling: float = 1.0
-    fmt: str = "json"
-    out: str | None = None
+def validate(config: argparse.Namespace):
+    """What argparse cannot check; its ``choices`` cover mapping, method, format.
+    Each check reads a flag only where its command has it."""
+    values = vars(config)
+    if config.sites < 1:
+        raise ConfigError(f"--sites must be >= 1, got {config.sites}")
+    for name in ("tau", *_GAPS):
+        if name in values and not math.isfinite(values[name]):
+            raise ConfigError(f"--{name} must be finite, got {values[name]}")
+    if values.get("tau", 1.0) <= 0:
+        raise ConfigError(f"--tau must be positive, got {config.tau}")
+    for name in _GAPS:
+        if values.get(name) == 0:
+            raise ConfigError(
+                f"--{name} must be nonzero: a zero coupling leaves extra "
+                "zero modes, so the ground pair is not unique"
+            )
+    for name in ("trotter_steps", "reps"):
+        if values.get(name, 1) < 1:
+            flag = name.replace("_", "-")
+            raise ConfigError(f"--{flag} must be >= 1, got {values[name]}")
+    if values.get("steps") is not None and not 0 <= config.steps <= 6:
+        raise ConfigError(f"--steps must lie in [0, 6], got {config.steps}")
+    if config.out is not None:
+        directory = os.path.dirname(config.out) or "."
+        if not os.path.isdir(directory):
+            raise ConfigError(
+                f"--out {config.out!r}: directory {directory!r} does not exist"
+            )
 
-    def validate(self):
-        """What argparse cannot check; its ``choices`` cover mapping, method, format."""
-        if self.sites < 1:
-            raise ConfigError(f"--sites must be >= 1, got {self.sites}")
-        gaps = {
-            "--delta": self.delta,
-            "--alpha": self.alpha,
-            "--tcoupling": self.tcoupling,
-        }
-        for flag, value in {"--tau": self.tau, **gaps}.items():
-            if not math.isfinite(value):
-                raise ConfigError(f"{flag} must be finite, got {value}")
-        if self.tau <= 0:
-            raise ConfigError(f"--tau must be positive, got {self.tau}")
-        for flag, value in gaps.items():
-            if value == 0:
-                raise ConfigError(
-                    f"{flag} must be nonzero: a zero coupling leaves extra "
-                    "zero modes, so the ground pair is not unique"
-                )
-        if self.trotter_steps < 1:
-            raise ConfigError(f"--trotter-steps must be >= 1, got {self.trotter_steps}")
-        if self.reps < 1:
-            raise ConfigError(f"--reps must be >= 1, got {self.reps}")
-        if self.steps is not None and not 0 <= self.steps <= 6:
-            raise ConfigError(f"--steps must lie in [0, 6], got {self.steps}")
-        if self.out is not None:
-            directory = os.path.dirname(self.out) or "."
-            if not os.path.isdir(directory):
-                raise ConfigError(
-                    f"--out {self.out!r}: directory {directory!r} does not exist"
-                )
 
-    def params(self) -> TrijunctionParams:
-        return TrijunctionParams(
-            n=self.sites,
-            delta=self.delta,
-            alpha=self.alpha,
-            t_junction=self.tcoupling,
-        )
-
-    def echo(self) -> dict:
-        """Every field but ``out``, floats through ``_f``, ``fmt`` as ``format``."""
-        echoed = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            echoed[f.name] = _f(value) if f.type == "float" else value
-        del echoed["out"]
-        echoed["format"] = echoed.pop("fmt")
-        return echoed
+def params(config: argparse.Namespace) -> TrijunctionParams:
+    return TrijunctionParams(
+        n=config.sites, delta=config.delta, alpha=config.alpha, t_junction=config.tcoupling
+    )
 
 
 def _f(value: float) -> float:
@@ -121,8 +118,8 @@ def _complex_matrix(M: np.ndarray) -> list:
 def _conjugation_cycle(n: int) -> list[dict]:
     """Symbolic check that each step maps its configuration Hamiltonian to
     the next one exactly."""
-    params = TrijunctionParams(n=n)
-    h = {c: trijunction_h(c, params) for c in PROTOCOL_CONFIGS}
+    defaults = TrijunctionParams(n=n)
+    h = {c: trijunction_h(c, defaults) for c in PROTOCOL_CONFIGS}
     rows = []
     for k, (step, (c_from, c_to)) in enumerate(zip(protocol_steps(), schedule())):
         got = conjugate_hamiltonian(h[c_from], build_sub_operators(step, n))
@@ -130,17 +127,20 @@ def _conjugation_cycle(n: int) -> list[dict]:
     return rows
 
 
-def cmd_verify(config: RunConfig) -> tuple[dict, bool]:
+def cmd_verify(config: argparse.Namespace) -> tuple[dict, bool]:
     layout = layout_for(config.mapping, config.sites)
-    gs = simulator.trijunction_ground_space(
-        Configuration(1, 2), config.params(), layout
-    )
-    tol = PHASE_TOL_SINGLE_SITE if config.sites == 1 else PHASE_TOL_LARGER
+    gs = simulator.trijunction_ground_space(Configuration(1, 2), params(config), layout)
     results: dict = {"ground_energies": [_f(e) for e in gs.energies]}
     ok = True
-
-    def add_report(tag: str, steps: int, UG: np.ndarray):
-        nonlocal ok
+    if config.steps is None:
+        single = simulator.braid_unitary(layout, 3, gs.basis)
+        # steps 4-6 repeat steps 1-3, so the double braid is the single one twice
+        double = simulator.braid_unitary(layout, 3, single)
+        braids = [("single", 3, single), ("double", 6, double)]
+    else:
+        UG = simulator.braid_unitary(layout, config.steps, gs.basis)
+        braids = [(f"steps{config.steps}", config.steps, UG)]
+    for tag, steps, UG in braids:
         report = simulator.project_braid(UG, gs)
         results[f"dphi_{tag}"] = _f(report.dphi)
         results[f"ugs_{tag}"] = _complex_matrix(report.ugs)
@@ -148,21 +148,11 @@ def cmd_verify(config: RunConfig) -> tuple[dict, bool]:
         expected = _EXPECTED_DPHI.get(steps)
         if expected is not None:
             passed = (
-                abs(report.dphi - expected) <= tol
+                abs(report.dphi - expected) <= PHASE_TOL
                 and report.unitarity_defect < 1e-8
             )
             results[f"dphi_{tag}_ok"] = passed
             ok = ok and passed
-
-    if config.steps is None:
-        single = simulator.braid_unitary(layout, 3, gs.basis)
-        add_report("single", 3, single)
-        # steps 4-6 repeat steps 1-3, so the double braid is the single one twice
-        add_report("double", 6, simulator.braid_unitary(layout, 3, single))
-    else:
-        UG = simulator.braid_unitary(layout, config.steps, gs.basis)
-        add_report(f"steps{config.steps}", config.steps, UG)
-
     chain = _conjugation_cycle(config.sites)
     results["conjugation_chain"] = chain
     ok = ok and all(row["ok"] for row in chain)
@@ -170,12 +160,10 @@ def cmd_verify(config: RunConfig) -> tuple[dict, bool]:
     return results, ok
 
 
-def cmd_braid(config: RunConfig) -> tuple[dict, bool]:
+def cmd_braid(config: argparse.Namespace) -> tuple[dict, bool]:
     layout = layout_for(config.mapping, config.sites)
     steps = 6 if config.steps is None else config.steps
-    gs = simulator.trijunction_ground_space(
-        Configuration(1, 2), config.params(), layout
-    )
+    gs = simulator.trijunction_ground_space(Configuration(1, 2), params(config), layout)
     results: dict = {"steps": steps}
     ok = True
     finals = {}
@@ -197,13 +185,13 @@ def cmd_braid(config: RunConfig) -> tuple[dict, bool]:
     return results, ok
 
 
-def cmd_adiabatic(config: RunConfig) -> tuple[dict, bool]:
+def cmd_adiabatic(config: argparse.Namespace) -> tuple[dict, bool]:
     layout = layout_for(config.mapping, config.sites)
     _, fid = simulator.run_adiabatic(
-        layout, config.params(), config.tau, config.trotter_steps, config.reps
+        layout, params(config), config.tau, config.trotter_steps, config.reps
     )
     circuit = compiler.compile_adiabatic(
-        layout, config.params(), config.tau, config.trotter_steps, config.reps
+        layout, params(config), config.tau, config.trotter_steps, config.reps
     )
     report = compiler.count_resources(circuit)
     results = {
@@ -216,7 +204,7 @@ def cmd_adiabatic(config: RunConfig) -> tuple[dict, bool]:
     return results, True
 
 
-def cmd_resources(config: RunConfig) -> tuple[list[dict], bool]:
+def cmd_resources(config: argparse.Namespace) -> tuple[list[dict], bool]:
     methods = (
         ("adiabatic", "braiding") if config.method == "both" else (config.method,)
     )
@@ -231,17 +219,16 @@ def cmd_resources(config: RunConfig) -> tuple[list[dict], bool]:
         substeps=config.trotter_steps,
         reps=config.reps,
     )
-    rows = [
-        {f.name: getattr(r, f.name) for f in fields(r) if f.name != "per_step"}
-        for r in reports
-    ]
+    rows = [{k: v for k, v in vars(r).items() if k != "per_step"} for r in reports]
     return rows, True
 
 
-def _emit(config: RunConfig, payload, wall_time: float):
-    if config.fmt == "json":
+def _emit(config: argparse.Namespace, payload, wall_time: float):
+    if config.format == "json":
+        echo = {k: _f(v) if isinstance(v, float) else v for k, v in vars(config).items()}
+        del echo["out"]
         doc = {
-            "config": config.echo(),
+            "config": echo,
             "results": payload,
             "meta": {"wall_time_s": wall_time},
         }
@@ -271,9 +258,9 @@ def _emit(config: RunConfig, payload, wall_time: float):
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    """Each command registers only the flags it reads, so any other flag exits
-    2.  Defaults live in ``RunConfig``; only ``resources`` overrides two.
-    Built once per process: parsing reads the parser and never changes it."""
+    """Each command registers only the flags in its ``_DEFAULTS`` row, so any
+    other flag exits 2.  Built once per process: parsing reads the parser and
+    never changes it."""
     parser = argparse.ArgumentParser(
         prog="trijunction",
         description="Trijunction braid emulation: verification, state "
@@ -288,26 +275,11 @@ def _build_parser() -> argparse.ArgumentParser:
     }
     for name, help_text in specs.items():
         p = sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
-        if name == "resources":
-            p.add_argument("--sites", type=int, default=4)
-            p.add_argument(
-                "--mapping", default="both", choices=["coupler", "continuous", "both"]
-            )
-            p.add_argument("--method", choices=["braiding", "adiabatic", "both"])
-        else:
-            p.add_argument("--sites", type=int)
-            p.add_argument("--mapping", choices=["coupler", "continuous"])
-            for flag in ("--delta", "--alpha", "--tcoupling"):
-                p.add_argument(flag, type=float)
-        if name in ("verify", "braid"):
-            p.add_argument("--steps", type=int)
-        else:
-            p.add_argument("--trotter-steps", type=int)
-            p.add_argument("--reps", type=int)
-        if name == "adiabatic":
-            p.add_argument("--tau", type=float)
-        p.add_argument("--format", choices=["json", "csv"], dest="fmt")
-        p.add_argument("--out")
+        for dest, default in {**_DEFAULTS[name], **_OUTPUT}.items():
+            kwargs = dict(_ARGUMENTS[dest])
+            if "choices" in kwargs and default not in kwargs["choices"]:
+                kwargs["choices"] = [*kwargs["choices"], default]
+            p.add_argument("--" + dest.replace("_", "-"), **kwargs)
     return parser
 
 
@@ -326,16 +298,16 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     given = vars(args)
-    config = RunConfig(**given)
+    config = argparse.Namespace(**{**_DEFAULTS[args.command], **_OUTPUT, **given})
     try:
         # Only ``resources`` has --method; its braiding sweep is not Trotterised.
-        if config.method == "braiding":
+        if given.get("method") == "braiding":
             for name in ("trotter_steps", "reps"):
                 if name in given:
                     raise ConfigError(
                         f"--{name.replace('_', '-')} is not read by --method braiding"
                     )
-        config.validate()
+        validate(config)
         start = time.perf_counter()
         payload, ok = _COMMANDS[config.command](config)
         _emit(config, payload, time.perf_counter() - start)

@@ -197,6 +197,9 @@ def ground_space(
     for other, must in checks:
         if commutes(flip, other) != (must == "commute"):
             raise ValueError(f"flip string {flip.label()} must {must} with {other.label()}")
+    energy = sum(c if s.is_identity else -abs(c) for c, s in h.terms)
+    if not math.isfinite(energy):
+        raise RuntimeError(f"ground pair energy {energy:.3g} is not finite")
     H = h.to_matrix()
     nq = h.num_qubits
     stabilizers = [(-math.copysign(1.0, c), s) for c, s in h.terms if not s.is_identity]
@@ -213,7 +216,6 @@ def ground_space(
     g1 /= math.sqrt(g1[i].real)  # <i|g1> = ||g1||^2, and i is g1's first nonzero index
     g2 = kernels.apply_string_to_matrix(g1, nq, flip.x, flip.z, flip.phase_exp)
     G = np.stack([g1, _fix_phase(g2)], axis=1)
-    energy = sum(c if s.is_identity else -abs(c) for c, s in h.terms)
     # Column 1, the flip times column 0, has the same residual.  Two products
     # keep a real H real; matrix-vector ones touch no BLAS gemm buffers.
     Hg = H @ g1 if np.iscomplexobj(H) else H @ g1.real + 1j * (H @ g1.imag)
@@ -221,7 +223,7 @@ def ground_space(
     scale = max((abs(c) for c, _ in h.terms), default=1.0)
     residual = float(np.linalg.norm((Hg - energy * g1) / scale))
     bound = 1e-10 * sum(abs(c) / scale for c, _ in h.terms)
-    if not (math.isfinite(energy) and residual <= bound):
+    if not residual <= bound:
         raise RuntimeError(
             f"ground pair residual {residual * scale:.3g} at energy {energy:.3g} "
             "is not certified"

@@ -1,9 +1,11 @@
 """Driver behaviour: outputs, determinism, exit codes."""
 
+import argparse
 import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -118,7 +120,8 @@ def test_state_command_csv_has_the_scalar_results_only(capsys, argv, header, jso
 def test_resources_json_rows_match_the_csv_rows(capsys):
     # The payload rows keep the CSV header order; the JSON text sorts keys.
     header = ["n", "method", "mapping", "two_qubit_count", "depth"]
-    payload, ok = cli.cmd_resources(cli.RunConfig("resources", sites=2, mapping="both"))
+    config = argparse.Namespace(**{**cli._DEFAULTS["resources"], "sites": 2})
+    payload, ok = cli.cmd_resources(config)
     assert ok and all(list(row) == header for row in payload)
     code, out, _ = run(capsys, "resources", "--sites", "2", "--format", "json")
     assert code == 0
@@ -240,6 +243,57 @@ def test_unread_flag_exits_two(capsys, command, flag, value):
     assert code == 2
     assert out == ""
     assert flag in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--sites", "2"),
+        ("braid", "--sites", "1", "--steps", "3"),
+        ("adiabatic", "--sites", "1", "--tau", "8"),
+        ("resources", "--sites", "2", "--method", "braiding"),
+    ],
+    ids=["verify", "braid", "adiabatic", "resources"],
+)
+def test_config_echoes_the_command_flags_and_round_trips(capsys, argv):
+    # ``config`` holds the command, the format and the value of each flag the
+    # command reads; passing every echoed value back changes nothing.
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    doc = json.loads(out)
+    command = argv[0]
+    assert set(doc["config"]) == {"command", "format"} | set(cli._DEFAULTS[command])
+    # --method braiding rejects the Trotter flags, whose defaults it echoes.
+    skip = {"command"}
+    if doc["config"].get("method") == "braiding":
+        skip |= {"trotter_steps", "reps"}
+    again = [command]
+    for key, value in doc["config"].items():
+        if key not in skip and value is not None:
+            again += ["--" + key.replace("_", "-"), str(value)]
+    code, out, err = run(capsys, *again)
+    assert code == 0, err
+    redo = json.loads(out)
+    assert redo["config"] == doc["config"]
+    assert redo["results"] == doc["results"]
+
+
+def test_readme_flag_table_matches_the_parser():
+    # Each command's row of the README's CLI table lists exactly the flags
+    # its subparser registers.
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    rows = re.findall(r"^\| ((?:`\w+`(?:, )?)+) \| (.*) \|$", readme, re.MULTILINE)
+    subparsers = next(
+        a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    listed = {}
+    for commands, flags in rows:
+        for command in re.findall(r"`(\w+)`", commands):
+            listed[command] = set(re.findall(r"--[a-z-]+", flags))
+    assert set(listed) == set(subparsers.choices) == set(cli._COMMANDS)
+    for command, sub in subparsers.choices.items():
+        registered = {s for a in sub._actions for s in a.option_strings} - {"-h", "--help"}
+        assert listed[command] == registered, command
 
 
 def test_mapping_both_rejected_outside_resources(capsys):
@@ -368,14 +422,14 @@ def test_tiny_gaps_keep_the_exact_phases(capsys, argv):
 
 def test_an_overflowing_energy_fails_the_certificate(capsys):
     # At 1e308 the energy -5e308 overflows: the check fails with exit 1 and
-    # prints no payload, instead of passing on a NaN residual.
+    # prints no payload, before the dense matrix would overflow too.
     gap = "1e308"
     argv = ["verify", "--sites", "2", "--delta", gap, "--alpha", gap, "--tcoupling", gap]
-    with np.errstate(all="ignore"):
+    with np.errstate(all="raise"):
         code, out, err = run(capsys, *argv)
     assert code == 1
     assert out == ""
-    assert err.startswith("error: ground pair residual nan at energy -inf")
+    assert err == "error: ground pair energy -inf is not finite\n"
 
 
 def test_a_pruned_gap_leaves_free_modes(capsys):

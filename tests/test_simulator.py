@@ -27,7 +27,7 @@ from trijunction.mappings import (
     map_monomial,
 )
 from trijunction import kernels, simulator
-from trijunction.cli import PHASE_TOL_LARGER, PHASE_TOL_SINGLE_SITE
+from trijunction.cli import PHASE_TOL
 from trijunction.pauli import PauliString, PauliSum, commutes, multiply, to_matrix
 from trijunction.simulator import (
     apply_braid,
@@ -444,11 +444,10 @@ def test_ground_pair_and_braid_phases_over_the_gap_scales(kind, n, delta, alpha,
     gs = trijunction_ground_space(CONFIG_12, params, layout)
     np.testing.assert_allclose(gs.basis.conj().T @ gs.basis, np.eye(2), rtol=0, atol=1e-12)
     assert gs.energies.tolist() == [-sum(abs(c) for c, _ in h.terms)] * 2
-    tol = PHASE_TOL_SINGLE_SITE if n == 1 else PHASE_TOL_LARGER
     single = braid_unitary(layout, 3, gs.basis)
-    assert abs(project_braid(single, gs).dphi - np.pi / 2) <= tol
+    assert abs(project_braid(single, gs).dphi - np.pi / 2) <= PHASE_TOL
     double = braid_unitary(layout, 3, single)
-    assert abs(project_braid(double, gs).dphi - np.pi) <= tol
+    assert abs(project_braid(double, gs).dphi - np.pi) <= PHASE_TOL
 
 
 def test_odd_y_hamiltonian_keeps_complex_eigh():
