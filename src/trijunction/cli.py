@@ -36,7 +36,7 @@ _EXPECTED_DPHI = {0: 0.0, 3: math.pi / 2.0, 6: math.pi}
 
 # Each command's flags, as dests, with the value an omitted flag means.  The
 # parser registers exactly these plus --format and --out, and ``config``
-# echoes them.
+# echoes them (``resources --method braiding`` drops the ``_TROTTER`` pair).
 _GAPS = {"delta": 1.0, "alpha": 1.0, "tcoupling": 1.0}
 _LATTICE = {"sites": 1, "mapping": "coupler", **_GAPS}
 _TROTTER = {"trotter_steps": 10, "reps": 1}
@@ -48,56 +48,47 @@ _DEFAULTS = {
 }
 _OUTPUT = {"format": "json", "out": None}
 
-# argparse keywords per dest; a command's default is always one of the choices.
+
+def _ruled(cast, test, rule: str):
+    """An argparse ``type``: ``cast`` the text, then reject a value that fails ``test``."""
+    def parse(text: str):
+        value = cast(text)
+        if not test(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {value!r}")
+        return value
+
+    parse.__name__ = cast.__name__  # keeps argparse's "invalid int value: '1.5'"
+    return parse
+
+
+_COUNT = _ruled(int, lambda v: v >= 1, ">= 1")
+_GAP = _ruled(
+    float,
+    lambda v: math.isfinite(v) and v != 0,
+    "finite and nonzero (a zero coupling leaves extra zero modes)",
+)
+_PATH = _ruled(
+    str,
+    lambda path: path != "" and os.path.isdir(os.path.dirname(path) or "."),
+    "a file in an existing directory",
+)
+
+# argparse keywords per dest; a ``type`` rejects what its flag's rule forbids,
+# and a command's default is always one of the choices.
 _ARGUMENTS = {
-    "sites": {"type": int},
+    "sites": {"type": _COUNT},
     "mapping": {"choices": ["coupler", "continuous"]},
     "method": {"choices": ["braiding", "adiabatic", "both"]},
-    "steps": {"type": int},
-    "tau": {"type": float},
-    "trotter_steps": {"type": int},
-    "reps": {"type": int},
-    "delta": {"type": float},
-    "alpha": {"type": float},
-    "tcoupling": {"type": float},
+    "steps": {"type": _ruled(int, lambda v: 0 <= v <= 6, "in [0, 6]")},
+    "tau": {"type": _ruled(float, lambda v: math.isfinite(v) and v > 0, "finite and > 0")},
+    "trotter_steps": {"type": _COUNT},
+    "reps": {"type": _COUNT},
+    "delta": {"type": _GAP},
+    "alpha": {"type": _GAP},
+    "tcoupling": {"type": _GAP},
     "format": {"choices": ["json", "csv"]},
-    "out": {},
+    "out": {"type": _PATH},
 }
-
-
-class ConfigError(ValueError):
-    pass
-
-
-def validate(config: argparse.Namespace):
-    """What argparse cannot check; its ``choices`` cover mapping, method, format.
-    Each check reads a flag only where its command has it."""
-    values = vars(config)
-    if config.sites < 1:
-        raise ConfigError(f"--sites must be >= 1, got {config.sites}")
-    for name in ("tau", *_GAPS):
-        if name in values and not math.isfinite(values[name]):
-            raise ConfigError(f"--{name} must be finite, got {values[name]}")
-    if values.get("tau", 1.0) <= 0:
-        raise ConfigError(f"--tau must be positive, got {config.tau}")
-    for name in _GAPS:
-        if values.get(name) == 0:
-            raise ConfigError(
-                f"--{name} must be nonzero: a zero coupling leaves extra "
-                "zero modes, so the ground pair is not unique"
-            )
-    for name in ("trotter_steps", "reps"):
-        if values.get(name, 1) < 1:
-            flag = name.replace("_", "-")
-            raise ConfigError(f"--{flag} must be >= 1, got {values[name]}")
-    if values.get("steps") is not None and not 0 <= config.steps <= 6:
-        raise ConfigError(f"--steps must lie in [0, 6], got {config.steps}")
-    if config.out is not None:
-        directory = os.path.dirname(config.out) or "."
-        if not os.path.isdir(directory):
-            raise ConfigError(
-                f"--out {config.out!r}: directory {directory!r} does not exist"
-            )
 
 
 def params(config: argparse.Namespace) -> TrijunctionParams:
@@ -212,13 +203,10 @@ def cmd_resources(config: argparse.Namespace) -> tuple[list[dict], bool]:
         ("continuous", "coupler") if config.mapping == "both" else (config.mapping,)
     )
     n_values = range(1, config.sites + 1)
-    reports = compiler.sweep(
-        n_values,
-        methods,
-        mappings,
-        substeps=config.trotter_steps,
-        reps=config.reps,
-    )
+    trotter = {}
+    if "reps" in vars(config):  # --method braiding has no Trotter flags
+        trotter = {"substeps": config.trotter_steps, "reps": config.reps}
+    reports = compiler.sweep(n_values, methods, mappings, **trotter)
     rows = [{k: v for k, v in vars(r).items() if k != "per_step"} for r in reports]
     return rows, True
 
@@ -251,7 +239,7 @@ def _emit(config: argparse.Namespace, payload, wall_time: float):
             with open(config.out, "w") as fh:
                 fh.write(text)
         except OSError as exc:
-            raise ConfigError(f"--out {config.out!r}: {exc.strerror or exc}") from exc
+            raise ValueError(f"--out {config.out!r}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -298,20 +286,22 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     given = vars(args)
-    config = argparse.Namespace(**{**_DEFAULTS[args.command], **_OUTPUT, **given})
+    defaults = _DEFAULTS[args.command]
     try:
-        # Only ``resources`` has --method; its braiding sweep is not Trotterised.
+        # Only ``resources`` has --method; its braiding sweep is not
+        # Trotterised, so it neither takes nor echoes the Trotter flags.
         if given.get("method") == "braiding":
-            for name in ("trotter_steps", "reps"):
+            for name in _TROTTER:
                 if name in given:
-                    raise ConfigError(
+                    raise ValueError(
                         f"--{name.replace('_', '-')} is not read by --method braiding"
                     )
-        validate(config)
+            defaults = {k: v for k, v in defaults.items() if k not in _TROTTER}
+        config = argparse.Namespace(**{**defaults, **_OUTPUT, **given})
         start = time.perf_counter()
         payload, ok = _COMMANDS[config.command](config)
         _emit(config, payload, time.perf_counter() - start)
-    except ValueError as exc:  # ConfigError included
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:  # a ground-pair certificate that fails

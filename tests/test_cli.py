@@ -171,6 +171,56 @@ def test_bad_config_exits_two(capsys):
     assert "sites" in err
 
 
+# A value just outside each ruled flag's rule, and the edge values it accepts.
+OUTSIDE_THE_RULE = {
+    "sites": ["0"],
+    "steps": ["-1", "7"],
+    "tau": ["0", "nan"],
+    "trotter_steps": ["0"],
+    "reps": ["0"],
+    **{gap: ["0", "inf"] for gap in ("delta", "alpha", "tcoupling")},
+}
+ON_THE_EDGE = {
+    "sites": ["1"],
+    "steps": ["0", "6"],
+    "tau": ["1e-300"],
+    "trotter_steps": ["1"],
+    "reps": ["1"],
+    **{gap: ["1e-300", "-1e-300"] for gap in ("delta", "alpha", "tcoupling")},
+}
+
+
+@pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+def test_each_flag_rejects_what_its_rule_forbids(capsys, command):
+    # Parse only: argparse applies each flag's rule, exits 2 and names the
+    # flag; the edge values parse to themselves.
+    ruled = {dest for dest, kwargs in cli._ARGUMENTS.items() if "type" in kwargs}
+    assert ruled == set(OUTSIDE_THE_RULE) | {"out"}
+    parser = cli._build_parser()
+    subparsers = next(
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    flags = {
+        a.dest: a.option_strings[0]
+        for a in subparsers.choices[command]._actions
+        if a.dest in OUTSIDE_THE_RULE
+    }
+    assert flags
+    for dest, flag in flags.items():
+        for value in OUTSIDE_THE_RULE[dest]:
+            with pytest.raises(SystemExit) as exc:
+                parser.parse_args([command, f"{flag}={value}"])
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert f"argument {flag}: must be " in err, (flag, value)
+        for value in ON_THE_EDGE[dest]:
+            parsed = getattr(parser.parse_args([command, f"{flag}={value}"]), dest)
+            assert parsed == type(parsed)(value)
+    with pytest.raises(SystemExit):
+        parser.parse_args([command, "--sites", "1.5"])
+    assert "argument --sites: invalid int value: '1.5'" in capsys.readouterr().err
+
+
 def test_unknown_flag_exits_two(capsys):
     assert run(capsys, "verify", "--bogus")[0] == 2
 
@@ -205,7 +255,7 @@ def test_non_finite_flag_exits_two(capsys, command, flag, value):
     code, out, err = run(capsys, command, "--sites", "1", f"{flag}={value}")
     assert code == 2
     assert out == ""
-    assert f"{flag} must be finite" in err
+    assert f"argument {flag}: must be finite" in err
 
 
 @pytest.mark.parametrize("flag", ["--delta", "--alpha", "--tcoupling"])
@@ -213,7 +263,7 @@ def test_zero_coupling_exits_two(capsys, flag):
     code, out, err = run(capsys, "verify", "--sites", "1", flag, "0")
     assert code == 2
     assert out == ""
-    assert f"{flag} must be nonzero" in err
+    assert f"argument {flag}: must be finite and nonzero" in err
 
 
 @pytest.mark.parametrize(
@@ -262,14 +312,13 @@ def test_config_echoes_the_command_flags_and_round_trips(capsys, argv):
     assert code == 0
     doc = json.loads(out)
     command = argv[0]
-    assert set(doc["config"]) == {"command", "format"} | set(cli._DEFAULTS[command])
-    # --method braiding rejects the Trotter flags, whose defaults it echoes.
-    skip = {"command"}
+    flags = set(cli._DEFAULTS[command])
     if doc["config"].get("method") == "braiding":
-        skip |= {"trotter_steps", "reps"}
+        flags -= {"trotter_steps", "reps"}  # the braiding sweep reads neither
+    assert set(doc["config"]) == {"command", "format"} | flags
     again = [command]
     for key, value in doc["config"].items():
-        if key not in skip and value is not None:
+        if key != "command" and value is not None:
             again += ["--" + key.replace("_", "-"), str(value)]
     code, out, err = run(capsys, *again)
     assert code == 0, err
@@ -307,16 +356,20 @@ def test_continuous_mapping_verify(capsys):
     assert results["dphi_single"] == pytest.approx(math.pi / 2, abs=1e-9)
 
 
-@pytest.mark.parametrize("where", ["missing_directory", "directory_itself"])
+@pytest.mark.parametrize("where", ["missing_directory", "directory_itself", "empty"])
 def test_unwritable_out_exits_two(capsys, tmp_path, where):
-    # A missing directory is caught before any computing; a path the write
-    # itself refuses is caught at the write.  Both are usage errors, not a
-    # failed physics check.
-    target = tmp_path / "missing" / "x.json" if where == "missing_directory" else tmp_path
-    code, out, err = run(capsys, "verify", "--sites", "1", "--out", str(target))
+    # A missing directory or an empty path is caught before any computing; a
+    # path the write itself refuses is caught at the write.  All are usage
+    # errors, not a failed physics check.
+    target = {
+        "missing_directory": str(tmp_path / "missing" / "x.json"),
+        "directory_itself": str(tmp_path),
+        "empty": "",
+    }[where]
+    code, out, err = run(capsys, "verify", "--sites", "1", "--out", target)
     assert code == 2
     assert out == ""
-    assert str(target) in err
+    assert repr(target) in err
 
 
 @pytest.mark.parametrize(

@@ -1,10 +1,13 @@
-"""Module hygiene: every exported name exists and no import goes unused.
+"""Module hygiene: every exported name exists, no import goes unused and no
+top-level name shadows a builtin.
 
 A deletion that leaves an import or an ``__all__`` entry behind fails here
-rather than lingering as dead code.
+rather than lingering as dead code.  A module-level ``class ValueError`` or
+``def open`` would silently change what every later use in that module means.
 """
 
 import ast
+import builtins
 import importlib
 from pathlib import Path
 
@@ -42,3 +45,29 @@ def test_no_import_goes_unused(module):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = {name: line for name, line in imported_names(tree).items() if name not in used}
     assert unused == {}
+
+
+def top_level_names(tree: ast.Module) -> dict[str, int]:
+    """Name each module-level def, class, assignment or import binds -> its line."""
+    names = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        names[name.id] = node.lineno
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(imported_names(ast.Module(body=[node], type_ignores=[])))
+    return names
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_top_level_name_shadows_a_builtin(module):
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    shadowing = {
+        name: line for name, line in top_level_names(tree).items() if hasattr(builtins, name)
+    }
+    assert shadowing == {}
