@@ -22,9 +22,9 @@ import time
 import numpy as np
 
 from . import compiler, simulator
-from .hamiltonians import PROTOCOL_CONFIGS, Configuration, TrijunctionParams, schedule
-from .hamiltonians import trijunction_h
-from .majorana import build_sub_operators, conjugate_hamiltonian, protocol_steps
+from .hamiltonians import TrijunctionParams, trijunction_h
+from .majorana import PROTOCOL_CONFIGS, build_sub_operators, conjugate_hamiltonian
+from .majorana import protocol_steps
 from .mappings import layout_for
 
 __all__ = ["main", "cmd_verify", "cmd_braid", "cmd_adiabatic", "cmd_resources"]
@@ -112,15 +112,15 @@ def _conjugation_cycle(n: int) -> list[dict]:
     defaults = TrijunctionParams(n=n)
     h = {c: trijunction_h(c, defaults) for c in PROTOCOL_CONFIGS}
     rows = []
-    for k, (step, (c_from, c_to)) in enumerate(zip(protocol_steps(), schedule())):
-        got = conjugate_hamiltonian(h[c_from], build_sub_operators(step, n))
-        rows.append({"step": k + 1, "ok": got == h[c_to]})
+    for k, (c_from, c_to) in enumerate(protocol_steps(), start=1):
+        got = conjugate_hamiltonian(h[c_from], build_sub_operators((c_from, c_to), n))
+        rows.append({"step": k, "ok": got == h[c_to]})
     return rows
 
 
 def cmd_verify(config: argparse.Namespace) -> tuple[dict, bool]:
     layout = layout_for(config.mapping, config.sites)
-    gs = simulator.trijunction_ground_space(Configuration(1, 2), params(config), layout)
+    gs = simulator.trijunction_ground_space(PROTOCOL_CONFIGS[0], params(config), layout)
     results: dict = {"ground_energies": [_f(e) for e in gs.energies]}
     ok = True
     if config.steps is None:
@@ -154,7 +154,7 @@ def cmd_verify(config: argparse.Namespace) -> tuple[dict, bool]:
 def cmd_braid(config: argparse.Namespace) -> tuple[dict, bool]:
     layout = layout_for(config.mapping, config.sites)
     steps = 6 if config.steps is None else config.steps
-    gs = simulator.trijunction_ground_space(Configuration(1, 2), params(config), layout)
+    gs = simulator.trijunction_ground_space(PROTOCOL_CONFIGS[0], params(config), layout)
     results: dict = {"steps": steps}
     ok = True
     finals = {}

@@ -26,9 +26,9 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .hamiltonians import PROTOCOL_CONFIGS, TrijunctionParams, schedule, trijunction_h
+from .hamiltonians import TrijunctionParams, trijunction_h
 from .hamiltonians import trotter_rotations, trotter_slices
-from .majorana import braid_exchanges
+from .majorana import PROTOCOL_CONFIGS, braid_exchanges, protocol_steps
 from .mappings import QubitLayout, exchange_rotation, layout_for, map_hamiltonian
 from .pauli import PauliString
 
@@ -137,7 +137,7 @@ def compile_adiabatic(
     mapped = {
         c: map_hamiltonian(trijunction_h(c, params), layout) for c in PROTOCOL_CONFIGS
     }
-    for ci, cf in schedule():
+    for ci, cf in protocol_steps():
         for h_s, dt in trotter_slices(mapped[ci], mapped[cf], tau, substeps):
             for string, angle in trotter_rotations(h_s, dt, reps):
                 gates, phase = compile_rotation(string, angle)

@@ -1,8 +1,8 @@
-"""Trijunction Hamiltonians in Majorana form, plus the six-transition
-protocol schedule and its Trotter slicing.
+"""Trijunction Hamiltonians in Majorana form, and the Trotter slicing of
+each protocol transition.
 
-A trijunction configuration is the ordered pair (a, b) of topological arms;
-the remaining arm c is trivial.  With x/y modes per site the Hamiltonian is
+A configuration (``majorana.Configuration``) is the pair (a, b) of
+topological arms; arm c is trivial.  With x/y modes per site the Hamiltonian is
 
     H_ab = i*Delta * sum_{k in {a,b}} sum_{j<n-1} y_{kj} x_{k,j+1}
          + i*alpha * sum_l x_{cl} y_{cl}
@@ -21,40 +21,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .majorana import MajoranaHamiltonian, MajoranaIndex, MajoranaMonomial
+from .majorana import Configuration, MajoranaHamiltonian, MajoranaIndex, MajoranaMonomial
 from .pauli import PauliString, PauliSum
 
 __all__ = [
-    "Configuration",
-    "PROTOCOL_CONFIGS",
     "TrijunctionParams",
-    "schedule",
     "trijunction_h",
     "trotter_rotations",
     "trotter_slices",
     "zero_mode_pair",
 ]
-
-
-@dataclass(frozen=True)
-class Configuration:
-    """Topological arm pair (a, b); arm c = the remaining one is trivial."""
-
-    a: int
-    b: int
-
-    def __post_init__(self):
-        if {self.a, self.b} - {1, 2, 3} or self.a == self.b:
-            raise ValueError(f"invalid topological pair ({self.a}, {self.b})")
-
-    @property
-    def c(self) -> int:
-        return 6 - self.a - self.b
-
-    @property
-    def epsilon(self) -> int:
-        """eps_abc: +1 when (a, b, c) is a cyclic shift of (1, 2, 3), else -1."""
-        return 1 if (self.a, self.b) in ((1, 2), (2, 3), (3, 1)) else -1
 
 
 @dataclass(frozen=True)
@@ -98,20 +74,6 @@ def trijunction_h(
         )
     )
     return MajoranaHamiltonian(terms, n)
-
-
-PROTOCOL_CONFIGS = (
-    Configuration(1, 2),
-    Configuration(1, 3),
-    Configuration(2, 3),
-)
-
-
-def schedule() -> tuple[tuple[Configuration, Configuration], ...]:
-    """Six (initial, final) configuration pairs, one per protocol step; a
-    transition of duration tau per pair gives a total braid time of 6*tau."""
-    cycle = PROTOCOL_CONFIGS
-    return tuple((cycle[k % 3], cycle[(k + 1) % 3]) for k in range(6))
 
 
 def trotter_slices(

@@ -8,10 +8,15 @@ the canonical (arm, site, x<y) order, flipping the sign once per transposition
 
 The exchange operator for a mode pair (k, l) is (1 + g_k g_l)/sqrt(2); its
 conjugation action sends g_k -> -g_l and g_l -> g_k and fixes every other
-mode.  Six braid steps, each a donor-arm sweep, a junction swap and a host-arm
-sweep, move the two unpaired modes around the trijunction;
-``build_sub_operators`` returns each step's exchanges in application order
-(first element acts first, both on states and in conjugation chains).
+mode.
+
+The module owns the configurations (topological arm pairs) and their cycle,
+``PROTOCOL_CONFIGS``.  A braid step is the (initial, final) pair of
+configurations it connects; six steps, each a donor-arm sweep, a junction
+swap and a host-arm sweep, move the two unpaired modes around the
+trijunction.  ``build_sub_operators`` returns each step's exchanges in
+application order (first element acts first, both on states and in
+conjugation chains).
 """
 
 from __future__ import annotations
@@ -20,11 +25,12 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 __all__ = [
-    "BraidStep",
+    "Configuration",
     "ExchangeOperator",
     "MajoranaHamiltonian",
     "MajoranaIndex",
     "MajoranaMonomial",
+    "PROTOCOL_CONFIGS",
     "braid_exchanges",
     "build_sub_operators",
     "conjugate_hamiltonian",
@@ -40,16 +46,6 @@ class MajoranaIndex(NamedTuple):
     arm: int
     site: int
     orientation: str
-
-
-def _mode(arm: int, site: int, orientation: str) -> MajoranaIndex:
-    if arm not in (1, 2, 3):
-        raise ValueError(f"arm must be 1, 2 or 3, got {arm}")
-    if site < 0:
-        raise ValueError(f"site must be non-negative, got {site}")
-    if orientation not in ("x", "y"):
-        raise ValueError(f"orientation must be 'x' or 'y', got {orientation}")
-    return MajoranaIndex(arm, site, orientation)
 
 
 @dataclass(frozen=True)
@@ -148,40 +144,65 @@ def conjugate_hamiltonian(
 
 
 @dataclass(frozen=True)
-class BraidStep:
-    """One protocol step: arm ``donor`` goes trivial, arm ``host`` goes topological."""
+class Configuration:
+    """Topological arm pair (a, b); arm c = the remaining one is trivial."""
 
-    donor: int
-    host: int
+    a: int
+    b: int
+
+    def __post_init__(self):
+        if {self.a, self.b} - {1, 2, 3} or self.a == self.b:
+            raise ValueError(f"invalid topological pair ({self.a}, {self.b})")
+
+    @property
+    def c(self) -> int:
+        return 6 - self.a - self.b
+
+    @property
+    def epsilon(self) -> int:
+        """eps_abc: +1 when (a, b, c) is a cyclic shift of (1, 2, 3), else -1."""
+        return 1 if (self.a, self.b) in ((1, 2), (2, 3), (3, 1)) else -1
 
 
-def build_sub_operators(step: BraidStep, n: int) -> tuple[ExchangeOperator, ...]:
-    """The 2n exchanges of one step, in application order.
+PROTOCOL_CONFIGS = (Configuration(1, 2), Configuration(1, 3), Configuration(2, 3))
 
-    Donor sweep: the unpaired y-mode at the far end of the donor arm is walked
-    down to the junction site (n-1 exchanges).  Junction swap: the y then x
-    modes at site 0 of donor and host are exchanged (the two commute).  Host
-    sweep: the mode is walked out to the far end of the host arm (n-1
-    exchanges).  At n = 1 both sweeps are empty and the step is the junction
-    swap alone.
+
+def build_sub_operators(
+    step: tuple[Configuration, Configuration], n: int
+) -> tuple[ExchangeOperator, ...]:
+    """The 2n exchanges of the step (initial, final), in application order.
+
+    The donor arm is topological before the step and trivial after it; the
+    host arm the reverse.  Donor sweep: the unpaired y-mode at the far end of
+    the donor arm is walked down to the junction site (n-1 exchanges).
+    Junction swap: the y then x modes at site 0 of donor and host are
+    exchanged (the two commute).  Host sweep: the mode is walked out to the
+    far end of the host arm (n-1 exchanges).  At n = 1 both sweeps are empty
+    and the step is the junction swap alone.
     """
     if n < 1:
         raise ValueError(f"sites per arm must be >= 1, got {n}")
-    c, a = step.donor, step.host
+    before, after = step
+    arms_before, arms_after = {before.a, before.b}, {after.a, after.b}
+    if len(arms_before - arms_after) != 1:
+        raise ValueError(f"braid step {before} -> {after} must move exactly one arm")
+    (c,), (a,) = arms_before - arms_after, arms_after - arms_before  # donor, host
     ops = []
     for j in range(n - 2, -1, -1):
-        ops.append(ExchangeOperator(_mode(c, j, "y"), _mode(c, j + 1, "y")))
-    ops.append(ExchangeOperator(_mode(c, 0, "y"), _mode(a, 0, "y")))
-    ops.append(ExchangeOperator(_mode(c, 0, "x"), _mode(a, 0, "x")))
+        ops.append(ExchangeOperator(MajoranaIndex(c, j, "y"), MajoranaIndex(c, j + 1, "y")))
+    ops.append(ExchangeOperator(MajoranaIndex(c, 0, "y"), MajoranaIndex(a, 0, "y")))
+    ops.append(ExchangeOperator(MajoranaIndex(c, 0, "x"), MajoranaIndex(a, 0, "x")))
     for j in range(n - 1):
-        ops.append(ExchangeOperator(_mode(a, j + 1, "y"), _mode(a, j, "y")))
+        ops.append(ExchangeOperator(MajoranaIndex(a, j + 1, "y"), MajoranaIndex(a, j, "y")))
     return tuple(ops)
 
 
-def protocol_steps() -> tuple[BraidStep, ...]:
-    """The six braid steps; steps 4-6 repeat steps 1-3."""
-    cycle = (BraidStep(2, 3), BraidStep(1, 2), BraidStep(3, 1))
-    return cycle + cycle
+def protocol_steps() -> tuple[tuple[Configuration, Configuration], ...]:
+    """Six (initial, final) configuration pairs, one per braid step, walking
+    ``PROTOCOL_CONFIGS`` round twice; a transition of duration tau per pair
+    gives a total braid time of 6*tau."""
+    cycle = PROTOCOL_CONFIGS
+    return tuple((cycle[k % 3], cycle[(k + 1) % 3]) for k in range(6))
 
 
 def braid_exchanges(n: int, steps: int = 6) -> tuple[ExchangeOperator, ...]:

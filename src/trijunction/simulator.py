@@ -39,16 +39,13 @@ import numpy as np
 
 from . import kernels
 from .hamiltonians import (
-    PROTOCOL_CONFIGS,
-    Configuration,
     TrijunctionParams,
-    schedule,
     trijunction_h,
     trotter_rotations,
     trotter_slices,
     zero_mode_pair,
 )
-from .majorana import braid_exchanges
+from .majorana import PROTOCOL_CONFIGS, Configuration, braid_exchanges, protocol_steps
 from .mappings import QubitLayout, exchange_rotation, gauge_operator, map_hamiltonian, map_majorana, map_monomial
 from .pauli import DENSE_QUBIT_LIMIT, PauliString, PauliSum, commutes, multiply
 
@@ -321,12 +318,12 @@ def run_adiabatic(
 ) -> tuple[np.ndarray, float]:
     """Drive |Psi(0)>_+ through all six transitions; return the final state
     and its overlap-squared with |Psi(0)>_-."""
-    gs = trijunction_ground_space(Configuration(1, 2), params, layout)
+    gs = trijunction_ground_space(PROTOCOL_CONFIGS[0], params, layout)
     mapped = {
         c: map_hamiltonian(trijunction_h(c, params), layout) for c in PROTOCOL_CONFIGS
     }
     psi = prepare_initial(gs, +1)
-    for ci, cf in schedule():
+    for ci, cf in protocol_steps():
         psi = trotter_adiabatic(psi, mapped[ci], mapped[cf], tau, substeps, reps)
     target = prepare_initial(gs, -1)
     return psi, fidelity(target, psi)

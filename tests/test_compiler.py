@@ -13,8 +13,8 @@ from trijunction.compiler import (
     count_resources,
     sweep,
 )
-from trijunction.hamiltonians import PROTOCOL_CONFIGS, TrijunctionParams, trijunction_h
-from trijunction.majorana import build_sub_operators, protocol_steps
+from trijunction.hamiltonians import TrijunctionParams, trijunction_h
+from trijunction.majorana import PROTOCOL_CONFIGS, build_sub_operators, protocol_steps
 from trijunction.mappings import (
     coupler_layout,
     exchange_rotation,
@@ -178,6 +178,52 @@ def test_braiding_two_qubit_count_is_affine_in_n(kind):
     assert len(set(diffs.tolist())) == 1
 
 
+# Closed forms for the two-qubit count, from the mapped string weights alone.
+# A weight-w rotation costs 2(w - 1) entanglers.  Weights: intra-arm hopping
+# terms and sweep exchanges 2, on-site terms 1, and the junction string
+# between site 0 of arms k and l is 3 on the coupler layout and d + 1 on the
+# continuous layout, with d = n for arm pairs (1, 2) and (2, 3) and d = 2n for
+# (1, 3) (the Jordan-Wigner string runs over the whole of arm 2).
+#
+# Braiding: a step is 2(n - 1) sweep exchanges (2 each) and two junction
+# exchanges.  Coupler: 6 * [4(n - 1) + 2 * 4] = 24n + 24.  Continuous: the
+# junction pairs of the three steps are (2, 3), (1, 2), (3, 1), so one cycle
+# costs 3 * 4(n - 1) + 2 * 2(n + n + 2n) and two cycles 56n - 24.
+#
+# Adiabatic, S slices and r repetitions per transition: slices 1..S-1 hold
+# the union of the initial and final terms, slice S only the final terms
+# (the initial-only terms are zero at lambda = 1 and pruned).  The union has
+# 3(n - 1) hopping terms (the shared arm once), on-site terms (free), and
+# both junction strings; the final alone has 2(n - 1) hopping terms and its
+# junction string.
+#   Coupler: union 6(n - 1) + 2 * 4 = 6n + 2, final 4(n - 1) + 4 = 4n, over
+#   six transitions: 6r * [(S - 1)(6n + 2) + 4n].
+#   Continuous: the junction costs 2n for (1, 2) and (2, 3) and 4n for
+#   (1, 3).  Over the cycle (1, 2) -> (1, 3) -> (2, 3) -> (1, 2) the unions
+#   cost 3 * 6(n - 1) + (6n + 6n + 4n) = 34n - 18 and the finals
+#   3 * 4(n - 1) + (4n + 2n + 2n) = 20n - 12; two cycles:
+#   2r * [(S - 1)(34n - 18) + 20n - 12].
+def closed_form_two_qubit_count(method, mapping, n, substeps, reps):
+    if method == "braiding":
+        return 24 * n + 24 if mapping == "coupler" else 56 * n - 24
+    if mapping == "coupler":
+        return 6 * reps * ((substeps - 1) * (6 * n + 2) + 4 * n)
+    return 2 * reps * ((substeps - 1) * (34 * n - 18) + 20 * n - 12)
+
+
+@pytest.mark.parametrize(
+    "n_first, n_last, substeps, reps",
+    [(1, 5, s, r) for s in (1, 2, 3, 7, 10) for r in (1, 2, 3)]
+    + [(6, 8, s, r) for s in (1, 3, 10) for r in (1, 2)],
+)
+def test_two_qubit_counts_match_their_closed_forms(n_first, n_last, substeps, reps):
+    for row in sweep(range(n_first, n_last + 1), substeps=substeps, reps=reps):
+        expected = closed_form_two_qubit_count(
+            row.method, row.mapping, row.n, substeps, reps
+        )
+        assert row.two_qubit_count == expected, row
+
+
 def test_adiabatic_count_matches_closed_form():
     layout = coupler_layout(2)
     params = TrijunctionParams(n=2)
@@ -186,9 +232,7 @@ def test_adiabatic_count_matches_closed_form():
     report = count_resources(circuit)
     total = 0
     h_cache = {}
-    from trijunction.hamiltonians import schedule
-
-    for ci, cf in schedule():
+    for ci, cf in protocol_steps():
         for cfg in (ci, cf):
             if cfg not in h_cache:
                 h_cache[cfg] = map_hamiltonian(trijunction_h(cfg, params), layout)
@@ -221,10 +265,8 @@ def test_adiabatic_circuit_matches_trotterized_state_path(kind, reps):
     U = circuit_unitary(circuit)
     psi = np.zeros(1 << layout.total_qubits, dtype=complex)
     psi[3] = 1.0
-    from trijunction.hamiltonians import schedule
-
     expected = psi
-    for ci, cf in schedule():
+    for ci, cf in protocol_steps():
         expected = trotter_adiabatic(
             expected,
             map_hamiltonian(trijunction_h(ci, params), layout),

@@ -1,4 +1,4 @@
-"""Hamiltonian builders and the protocol schedule."""
+"""Hamiltonian builders, configurations and the protocol steps."""
 
 import itertools
 
@@ -6,14 +6,8 @@ import numpy as np
 import pytest
 
 from trijunction.compiler import compile_adiabatic
-from trijunction.hamiltonians import (
-    Configuration,
-    TrijunctionParams,
-    schedule,
-    trijunction_h,
-    zero_mode_pair,
-)
-from trijunction.majorana import MajoranaIndex
+from trijunction.hamiltonians import TrijunctionParams, trijunction_h, zero_mode_pair
+from trijunction.majorana import Configuration, MajoranaIndex, protocol_steps
 from trijunction.mappings import coupler_layout, layout_for, map_hamiltonian
 from trijunction.pauli import to_matrix
 from trijunction.simulator import trotter_adiabatic
@@ -70,7 +64,7 @@ def test_trijunction_single_site_has_no_hopping():
 
 
 def test_schedule_pairs_and_closure():
-    pairs = schedule()
+    pairs = protocol_steps()
     assert len(pairs) == 6
     assert pairs[0] == (Configuration(1, 2), Configuration(1, 3))
     assert pairs[1] == (Configuration(1, 3), Configuration(2, 3))
@@ -82,7 +76,7 @@ def test_schedule_pairs_and_closure():
 
 
 def test_schedule_rejects_bad_tau():
-    """Both consumers of the schedule reject a non-positive step duration."""
+    """Both consumers of the protocol steps reject a non-positive step duration."""
     params = TrijunctionParams(n=1)
     layout = layout_for("continuous", 1)
     h = map_hamiltonian(trijunction_h(Configuration(1, 2), params), layout)

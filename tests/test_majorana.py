@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from trijunction.majorana import (
-    BraidStep,
+    PROTOCOL_CONFIGS,
+    Configuration,
     ExchangeOperator,
     MajoranaHamiltonian,
     MajoranaIndex,
@@ -20,7 +21,7 @@ from trijunction.majorana import (
     normalize,
     protocol_steps,
 )
-from trijunction.hamiltonians import Configuration, TrijunctionParams, trijunction_h
+from trijunction.hamiltonians import TrijunctionParams, trijunction_h
 from trijunction.mappings import coupler_layout, exchange_rotation, map_monomial
 from trijunction.pauli import to_matrix
 
@@ -168,7 +169,7 @@ def test_sub_operator_counts():
 
 
 def test_sub_operators_single_site_is_junction_only():
-    ops = build_sub_operators(BraidStep(2, 3), 1)
+    ops = build_sub_operators((Configuration(1, 2), Configuration(1, 3)), 1)
     assert ops == (
         ExchangeOperator(g(2, 0, "y"), g(3, 0, "y")),
         ExchangeOperator(g(2, 0, "x"), g(3, 0, "x")),
@@ -177,7 +178,7 @@ def test_sub_operators_single_site_is_junction_only():
 
 def test_sub_operators_three_sites_application_order():
     # donor sweep walks in from the arm end, host sweep walks back out
-    ops = build_sub_operators(BraidStep(2, 3), 3)
+    ops = build_sub_operators((Configuration(1, 2), Configuration(1, 3)), 3)
     assert ops == (
         ExchangeOperator(g(2, 1, "y"), g(2, 2, "y")),
         ExchangeOperator(g(2, 0, "y"), g(2, 1, "y")),
@@ -190,16 +191,33 @@ def test_sub_operators_three_sites_application_order():
 
 def test_sub_operators_reject_bad_size():
     with pytest.raises(ValueError):
-        build_sub_operators(BraidStep(2, 3), 0)
+        build_sub_operators((Configuration(1, 2), Configuration(1, 3)), 0)
+
+
+@pytest.mark.parametrize(
+    "step",
+    [
+        (Configuration(1, 2), Configuration(1, 2)),  # no arm moves
+        (Configuration(1, 2), Configuration(2, 1)),  # the same arms, reordered
+    ],
+)
+def test_sub_operators_reject_a_step_that_moves_no_arm(step):
+    # Such a step has no donor or host arm: its "exchanges" would swap modes
+    # with themselves, and conjugating H_12 by them flips the junction sign.
+    with pytest.raises(ValueError, match="must move exactly one arm") as err:
+        build_sub_operators(step, 2)
+    assert f"{step[0]} -> {step[1]}" in str(err.value)
 
 
 def test_protocol_steps_structure():
     steps = protocol_steps()
     assert len(steps) == 6
-    assert steps[0] == BraidStep(2, 3)
-    assert steps[1] == BraidStep(1, 2)
-    assert steps[2] == BraidStep(3, 1)
+    assert steps[0][0] == PROTOCOL_CONFIGS[0]
     assert steps[3:] == steps[:3]
+    # (donor, host): the arm that goes trivial, the arm that goes topological
+    for step, (donor, host) in zip(steps, [(2, 3), (1, 2), (3, 1)]):
+        junction = build_sub_operators(step, 1)
+        assert junction[0] == ExchangeOperator(g(donor, 0, "y"), g(host, 0, "y"))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

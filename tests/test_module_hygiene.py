@@ -1,9 +1,11 @@
-"""Module hygiene: every exported name exists, no import goes unused and no
-top-level name shadows a builtin.
+"""Module hygiene: every exported name exists, no import or private
+top-level name goes unused, no top-level name shadows a builtin, and README's
+module table lists every module.
 
-A deletion that leaves an import or an ``__all__`` entry behind fails here
-rather than lingering as dead code.  A module-level ``class ValueError`` or
-``def open`` would silently change what every later use in that module means.
+A deletion that leaves an import, an ``__all__`` entry or a private helper
+behind fails here rather than lingering as dead code.  A module-level
+``class ValueError`` or ``def open`` would silently change what every later
+use in that module means.
 """
 
 import ast
@@ -13,7 +15,8 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "trijunction"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "trijunction"
 MODULES = sorted(p.stem for p in PACKAGE.glob("*.py"))
 
 
@@ -71,3 +74,31 @@ def test_no_top_level_name_shadows_a_builtin(module):
         name: line for name, line in top_level_names(tree).items() if hasattr(builtins, name)
     }
     assert shadowing == {}
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_private_top_level_name_is_used(module):
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    read = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)
+    }
+    private = {
+        name: line
+        for name, line in top_level_names(tree).items()
+        if name.startswith("_") and not name.startswith("__")
+    }
+    unused = {name: line for name, line in private.items() if name not in read}
+    assert unused == {}
+
+
+def test_every_module_has_a_readme_row():
+    readme = (ROOT / "README.md").read_text()
+    missing = [
+        module
+        for module in MODULES
+        if module not in ("__init__", "__main__")
+        and f"| `trijunction.{module}` |" not in readme
+    ]
+    assert missing == []

@@ -4,14 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from trijunction.hamiltonians import (
+from trijunction.hamiltonians import TrijunctionParams, trijunction_h, zero_mode_pair
+from trijunction.majorana import (
     PROTOCOL_CONFIGS,
     Configuration,
-    TrijunctionParams,
-    trijunction_h,
-    zero_mode_pair,
-)
-from trijunction.majorana import (
     MajoranaIndex,
     MajoranaMonomial,
     braid_exchanges,
