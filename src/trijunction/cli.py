@@ -34,6 +34,15 @@ BRAID_FIDELITY_TOL = 1e-9
 
 _EXPECTED_DPHI = {0: 0.0, 3: math.pi / 2.0, 6: math.pi}
 
+# ``braid`` output is nearly all the 2^Q [re, im] pairs of ``final_state_plus``.
+# ``_emit`` renders them with the C encoder (``json.dumps`` with an indent runs
+# the pure-Python one) and splices them in over the value ``_SLOT``.  A quote
+# after ": " is never inside a string, so ``_SLOT_TEXT`` matches only a value
+# equal to ``_SLOT``, and no flag choice or result holds a NUL.
+_PAIRS_KEY = "final_state_plus"
+_SLOT = "\x00"
+_SLOT_TEXT = f'"{_PAIRS_KEY}": {json.dumps(_SLOT)}'
+
 # Each command's flags, as dests, with the value an omitted flag means.  The
 # parser registers exactly these plus --format and --out, and ``config``
 # echoes them (``resources --method braiding`` drops the ``_TROTTER`` pair).
@@ -100,6 +109,14 @@ def params(config: argparse.Namespace) -> TrijunctionParams:
 def _f(value: float) -> float:
     """Round-trip a float through 12 significant digits for stable output."""
     return float(format(float(value), ".12g"))
+
+
+def _complex_pairs(v: np.ndarray) -> list:
+    """``[[_f(z.real), _f(z.imag)] for z in v]``, rounded in one pass over
+    the interleaved parts of a complex128 vector."""
+    flat = np.ascontiguousarray(v, dtype=np.complex128).view(np.float64)
+    parts = iter([float(format(x, ".12g")) for x in flat.tolist()])
+    return [[re, im] for re, im in zip(parts, parts)]
 
 
 def _complex_matrix(M: np.ndarray) -> list:
@@ -171,7 +188,7 @@ def cmd_braid(config: argparse.Namespace) -> tuple[dict, bool]:
         )
         results["swap_ok"] = passed
         ok = passed
-    results["final_state_plus"] = [[_f(a.real), _f(a.imag)] for a in finals["plus"]]
+    results[_PAIRS_KEY] = _complex_pairs(finals["plus"])
     results["checks_passed"] = ok
     return results, ok
 
@@ -211,16 +228,39 @@ def cmd_resources(config: argparse.Namespace) -> tuple[list[dict], bool]:
     return rows, True
 
 
+def _indented_pairs(pairs: list, indent: str) -> str:
+    """``pairs`` exactly as ``json.dumps(..., indent=2)`` prints it as a
+    value whose key line starts with ``indent``.  Float reprs hold no
+    brackets or ", ", so every such sequence is structure."""
+    outer, inner = indent + "  ", indent + "    "
+    return (
+        json.dumps(pairs)
+        .replace("], [", f"\n{outer}],\n{outer}[\n{inner}")
+        .replace(", ", f",\n{inner}")
+        .replace("[[", f"[\n{outer}[\n{inner}")
+        .replace("]]", f"\n{outer}]\n{indent}]")
+    )
+
+
 def _emit(config: argparse.Namespace, payload, wall_time: float):
+    """Write the payload as JSON or CSV to stdout or ``--out``.
+
+    JSON is ``json.dumps(doc, indent=2, sort_keys=True)`` and a newline, byte
+    for byte; the braid state's pairs are spliced in by ``_indented_pairs``.
+    """
     if config.format == "json":
         echo = {k: _f(v) if isinstance(v, float) else v for k, v in vars(config).items()}
         del echo["out"]
+        pairs = payload.get(_PAIRS_KEY) if isinstance(payload, dict) else None
         doc = {
             "config": echo,
-            "results": payload,
+            "results": payload if pairs is None else {**payload, _PAIRS_KEY: _SLOT},
             "meta": {"wall_time_s": wall_time},
         }
         text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        if pairs is not None:  # results sit at depth 2: their keys indent by 4
+            spliced = f'"{_PAIRS_KEY}": ' + _indented_pairs(pairs, "    ")
+            text = text.replace(_SLOT_TEXT, spliced, 1)
     else:
         rows = payload  # resources: one row per report
         if config.command != "resources":

@@ -136,10 +136,31 @@ def conjugate_monomial(m: MajoranaMonomial, o: ExchangeOperator) -> MajoranaMono
 def conjugate_hamiltonian(
     h: MajoranaHamiltonian, ops: Iterable[ExchangeOperator]
 ) -> MajoranaHamiltonian:
-    """Conjugate term by term; ops are applied in list order (first acts first)."""
-    terms = list(h.terms)
-    for o in ops:
-        terms = [conjugate_monomial(t, o) for t in terms]
+    """Conjugate by ``ops`` applied in list order (first acts first).
+
+    The chain is composed once into a signed mode map, each exchange sending
+    the mode now at g_k to -g_l and the one now at g_l to g_k, and each term's
+    factors are mapped through it once, so the cost is O(len(ops) + terms)
+    and every term is normalised once.  Equal to folding
+    ``conjugate_monomial`` over ``ops``, which stays as the reference.
+    """
+    image: dict[MajoranaIndex, tuple[int, MajoranaIndex]] = {}  # mode -> (sign, image)
+    source: dict[MajoranaIndex, MajoranaIndex] = {}  # image -> mode
+    for k, l in ops:
+        a, b = source.get(k, k), source.get(l, l)
+        sign_a, sign_b = image.get(a, (1, a))[0], image.get(b, (1, b))[0]
+        # in this order a self-exchange (k == l, so a == b) flips the sign
+        image[b], source[k] = (sign_b, k), b
+        image[a], source[l] = (-sign_a, l), a
+    terms = []
+    for t in h.terms:
+        coeff, factors = t.coefficient, []
+        for f in t.factors:
+            sign, mapped = image.get(f, (1, f))
+            if sign < 0:
+                coeff = -coeff
+            factors.append(mapped)
+        terms.append(MajoranaMonomial(coeff, tuple(factors)))
     return MajoranaHamiltonian(terms, h.n)
 
 

@@ -20,6 +20,7 @@ Every string is computed directly as its two bitmasks (``trijunction.pauli``).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -124,6 +125,10 @@ def gauge_operator(layout: QubitLayout, arm: int) -> PauliString:
     return PauliString(layout.total_qubits, cx << c, (cz << c) | other_sites)
 
 
+# A braid on layout n has 6n distinct exchanges (steps 4-6 repeat 1-3), so
+# the cache holds every exchange of a layout up to n = 170 and, for
+# ``resources``, of the whole sweep up to --sites 12.
+@functools.lru_cache(maxsize=1024)
 def exchange_rotation(
     o: ExchangeOperator, layout: QubitLayout
 ) -> tuple[PauliString, float]:
@@ -131,7 +136,8 @@ def exchange_rotation(
 
     The mode pair product g_k g_l squares to -1, so it maps to +-i times a
     Hermitian string P and (1 + g_k g_l)/sqrt(2) = exp(-i*theta*P) with
-    theta = -+ pi/4.
+    theta = -+ pi/4.  Results are cached per (exchange, layout); both are
+    immutable, and a rejected pair raises again on every call.
     """
     coeff, string = map_monomial(MajoranaMonomial(1.0, (o.k, o.l)), layout)
     if abs(coeff.real) > 1e-12 or abs(abs(coeff.imag) - 1.0) > 1e-12:

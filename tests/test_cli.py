@@ -1,7 +1,9 @@
 """Driver behaviour: outputs, determinism, exit codes."""
 
 import argparse
+import contextlib
 import csv
+import io
 import json
 import math
 import os
@@ -12,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import trijunction
 from trijunction import cli
@@ -551,3 +554,67 @@ def test_one_parser_serves_calls_in_a_row(capsys):
     assert [code for code, _, _ in in_a_row] == [0, 0, 2, 2, 0, 2, 0]
     assert "unrecognized arguments: --bogus" in in_a_row[2][2]
     assert "unrecognized arguments: --steps 2" in in_a_row[3][2]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 30, 100])
+def test_conjugation_cycle_closes_at_every_size(n):
+    rows = cli._conjugation_cycle(n)
+    assert [row["step"] for row in rows] == [1, 2, 3, 4, 5, 6]
+    assert all(row["ok"] for row in rows)
+
+
+BRAID_LINES = [
+    ["--sites", str(n), "--mapping", kind, *steps]
+    for n in (1, 2, 3, 4)
+    for kind in ("coupler", "continuous")
+    for steps in ([], ["--steps", "0"], ["--steps", "3"], ["--steps", "6"])
+] + [
+    ["--sites", "2", "--mapping", kind, "--delta", "-1.25", "--alpha", "0.75",
+     "--tcoupling", "-1.5", *steps]
+    for kind in ("coupler", "continuous")
+    for steps in ([], ["--steps", "3"])
+]
+
+
+@pytest.mark.parametrize("argv", BRAID_LINES, ids=" ".join)
+def test_braid_output_is_the_indented_dump_of_its_document(capsys, monkeypatch, argv):
+    # The spliced pair list must reproduce json.dumps(indent=2) byte for byte.
+    payloads = []
+    emit = cli._emit
+    monkeypatch.setattr(cli, "_emit", lambda c, p, t: (payloads.append(p), emit(c, p, t)))
+    code, out, _ = run(capsys, "braid", *argv)
+    assert code == 0
+    doc = json.loads(out)
+    doc["results"] = payloads[0]
+    assert out == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+SPECIAL_FLOATS = st.sampled_from(
+    [-0.0, 0.0, 5e-324, -5e-324, 1e300, -1e-300, 1e-300, 2.0, -7.0, 1e16,
+     math.inf, -math.inf, math.nan]
+)
+PAIRS = st.lists(st.lists(st.floats() | SPECIAL_FLOATS, min_size=2, max_size=2), max_size=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pairs=PAIRS)
+def test_spliced_pairs_match_the_indented_dump(pairs):
+    config = argparse.Namespace(command="braid", sites=1, format="json", out=None)
+    payload = {"checks_passed": True, "final_state_plus": pairs, "steps": 6}
+    buffer = io.StringIO()
+    with contextlib.redirect_stdout(buffer):
+        cli._emit(config, payload, 0.25)
+    doc = {
+        "config": {"command": "braid", "format": "json", "sites": 1},
+        "results": payload,
+        "meta": {"wall_time_s": 0.25},
+    }
+    assert buffer.getvalue() == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(pairs=PAIRS)
+def test_complex_pairs_round_each_part_like_f(pairs):
+    v = np.array([complex(re, im) for re, im in pairs], dtype=np.complex128)
+    expected = [[cli._f(z.real), cli._f(z.imag)] for z in v]
+    assert repr(cli._complex_pairs(v)) == repr(expected)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from trijunction import majorana
 from trijunction.majorana import (
     PROTOCOL_CONFIGS,
     Configuration,
@@ -154,6 +155,58 @@ def test_conjugation_preserves_spectrum():
             (map_monomial(t, layout) for t in after_h.terms))
     )
     np.testing.assert_allclose(before, after, atol=1e-10)
+
+
+def fold_conjugation(h, ops):
+    """The chain one exchange at a time, every term re-normalised after each."""
+    terms = list(h.terms)
+    for o in ops:
+        terms = [conjugate_monomial(t, o) for t in terms]
+    return MajoranaHamiltonian(terms, h.n)
+
+
+# Few arms and sites, so that random exchanges often share a mode; k == l
+# (which flips the sign of g_k) and both (k, l) orders are drawn.
+SMALL_MODES = st.builds(
+    MajoranaIndex, st.integers(1, 2), st.integers(0, 1), st.sampled_from("xy")
+)
+EXCHANGES = st.builds(ExchangeOperator, SMALL_MODES, SMALL_MODES)
+COEFFICIENTS = st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    terms=st.lists(st.tuples(COEFFICIENTS, st.lists(SMALL_MODES, max_size=4)), max_size=6),
+    ops=st.lists(EXCHANGES, max_size=12),
+)
+def test_composed_conjugation_equals_the_folded_chain(terms, ops):
+    h = MajoranaHamiltonian([mono(c, *fs) for c, fs in terms], n=2)
+    assert conjugate_hamiltonian(h, ops) == fold_conjugation(h, ops)
+
+
+@pytest.mark.parametrize("n", [1, 3, 8])
+def test_protocol_conjugation_equals_the_folded_chain(n):
+    h = trijunction_h(Configuration(1, 2), TrijunctionParams(n=n, delta=1.25, alpha=-0.75))
+    for steps in (1, 3, 6):
+        ops = braid_exchanges(n, steps)
+        assert conjugate_hamiltonian(h, ops) == fold_conjugation(h, ops)
+
+
+@pytest.mark.parametrize("length", [0, 1, 2, 6, 24, 48])
+def test_conjugation_normalises_each_term_once(monkeypatch, length):
+    # The chain is composed before any term is touched, so its length does
+    # not multiply the per-term work (an O(n) chain, not O(n^2)).
+    h = trijunction_h(Configuration(1, 2), TrijunctionParams(n=4))
+    ops = braid_exchanges(4, 6)[:length]
+    calls = []
+
+    def counting(m):
+        calls.append(m)
+        return normalize(m)
+
+    monkeypatch.setattr(majorana, "normalize", counting)
+    conjugate_hamiltonian(h, ops)
+    assert len(calls) == len(h.terms)
 
 
 def test_empty_conjugation_is_identity():

@@ -6,10 +6,16 @@ import numpy as np
 import pytest
 
 from trijunction.hamiltonians import Configuration, TrijunctionParams, trijunction_h
-from trijunction.majorana import MajoranaIndex, MajoranaMonomial
+from trijunction.majorana import (
+    ExchangeOperator,
+    MajoranaIndex,
+    MajoranaMonomial,
+    braid_exchanges,
+)
 from trijunction.mappings import (
     QubitLayout,
     coupler_layout,
+    exchange_rotation,
     gauge_operator,
     layout_for,
     map_hamiltonian,
@@ -268,3 +274,24 @@ def test_gauge_sector_spectrum_matches_continuous_mapping(n):
         np.sort(np.linalg.eigvalsh(h_continuous.to_matrix())),
         atol=1e-10,
     )
+
+
+@pytest.mark.parametrize("kind", ["coupler", "continuous"])
+def test_exchange_rotation_is_cached_per_exchange_and_layout(kind):
+    layout = layout_for(kind, 3)
+    ops = braid_exchanges(3, 6)
+    first = [exchange_rotation(o, layout) for o in ops]
+    again = [exchange_rotation(o, layout) for o in ops]
+    assert all(a is b for a, b in zip(first, again))
+    assert first == [exchange_rotation.__wrapped__(o, layout) for o in ops]
+    # an equal layout value hits the same entries
+    assert exchange_rotation(ops[0], QubitLayout(kind, 3)) is first[0]
+    assert len(set(ops)) == 18  # steps 4-6 repeat steps 1-3
+
+
+def test_exchange_rotation_rejects_a_self_exchange_on_every_call():
+    # lru_cache stores no exception, so the check runs each time
+    o = ExchangeOperator(g(1, 0, "x"), g(1, 0, "x"))
+    for _ in range(3):
+        with pytest.raises(ValueError, match="non-quadrature coefficient"):
+            exchange_rotation(o, coupler_layout(1))
