@@ -119,10 +119,6 @@ def _complex_pairs(v: np.ndarray) -> list:
     return [[re, im] for re, im in zip(parts, parts)]
 
 
-def _complex_matrix(M: np.ndarray) -> list:
-    return [[[_f(entry.real), _f(entry.imag)] for entry in row] for row in M]
-
-
 def _conjugation_cycle(n: int) -> list[dict]:
     """Symbolic check that each step maps its configuration Hamiltonian to
     the next one exactly."""
@@ -151,7 +147,7 @@ def cmd_verify(config: argparse.Namespace) -> tuple[dict, bool]:
     for tag, steps, UG in braids:
         report = simulator.project_braid(UG, gs)
         results[f"dphi_{tag}"] = _f(report.dphi)
-        results[f"ugs_{tag}"] = _complex_matrix(report.ugs)
+        results[f"ugs_{tag}"] = [_complex_pairs(row) for row in report.ugs]
         results[f"unitarity_defect_{tag}"] = _f(report.unitarity_defect)
         expected = _EXPECTED_DPHI.get(steps)
         if expected is not None:

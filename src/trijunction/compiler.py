@@ -75,23 +75,20 @@ def _fragment(
     num_qubits: int, x: int, z: int
 ) -> tuple[tuple[Gate, ...], int, tuple[Gate, ...]]:
     """(head, rz qubit, tail) of the phase-free string with bitmasks (x, z),
-    of weight >= 1: the basis change and cx ladder before the rz, and their
-    mirror image after it.  Cached on the ints for the 1024 most recent
-    strings."""
-    string = PauliString(num_qubits, x, z)
-    support = string.support()
+    of weight >= 1, read off the bits: the basis change (sdg, h where x and z
+    are set; h where x alone is) and the cx ladder down the support before
+    the rz, and their mirror image after it.  Cached on the ints for the 1024
+    most recent strings."""
+    support = [q for q in range(num_qubits) if (x | z) >> q & 1]
     pre: list[Gate] = []
     post: list[Gate] = []
     for q in support:
-        axis = string.axis(q)
-        if axis == "X":
+        if x >> q & 1 and z >> q & 1:
+            pre += [Gate("sdg", (q,)), Gate("h", (q,))]
+            post += [Gate("h", (q,)), Gate("s", (q,))]
+        elif x >> q & 1:
             pre.append(Gate("h", (q,)))
             post.append(Gate("h", (q,)))
-        elif axis == "Y":
-            pre.append(Gate("sdg", (q,)))
-            pre.append(Gate("h", (q,)))
-            post.append(Gate("h", (q,)))
-            post.append(Gate("s", (q,)))
     ladder = [Gate("cx", pair) for pair in zip(support, support[1:])]
     return (*pre, *ladder), support[-1], (*reversed(ladder), *post)
 

@@ -18,12 +18,12 @@ parser of axis letters; every other constructor takes the bitmasks.
 
 Order
 -----
-:meth:`PauliString.sort_key` is ``(weight, code)``, where ``code`` is the
-integer whose base-4 digit q is the axis code of qubit q: I=0, X=1, Y=2, Z=3,
-that is ``(x ^ z) + 2*z`` per qubit, with qubit Q-1 the most significant
-digit.  Among strings of one qubit count this is exactly the
-``(weight, label())`` order, since 'I' < 'X' < 'Y' < 'Z' and the label writes
-qubit Q-1 first; it is built with integer operations only.
+:meth:`PauliString.sort_key` is ``(weight, code)``, where base-4 digit q of
+``code`` is the axis code I=0, X=1, Y=2, Z=3 of qubit q, ``(x ^ z) + 2*z``:
+the binary digits of ``x ^ z`` read in base 4 (bit q lands at 4**q) plus
+twice those of ``z``.  Qubit Q-1 is the most significant digit, so among
+strings of one qubit count this is the ``(weight, label())`` order
+('I' < 'X' < 'Y' < 'Z').
 
 A :class:`PauliSum` keeps its terms canonical (see ``_canonical``).  The
 constructor converts and checks its inputs first; ``+`` merges its two
@@ -55,22 +55,6 @@ DENSE_QUBIT_LIMIT = 14
 
 _AXIS_OF_BITS = {(0, 0): "I", (1, 0): "X", (0, 1): "Z", (1, 1): "Y"}
 _BITS_OF_AXIS = {v: k for k, v in _AXIS_OF_BITS.items()}
-
-# Byte b with bit i moved to bit 2i.
-_SPREAD_BYTE = tuple(
-    sum(((b >> i) & 1) << (2 * i) for i in range(8)) for b in range(256)
-)
-
-
-def _spread(mask: int) -> int:
-    """Move bit q of ``mask`` to bit 2q, one byte at a time."""
-    out = 0
-    shift = 0
-    while mask:
-        out |= _SPREAD_BYTE[mask & 0xFF] << shift
-        mask >>= 8
-        shift += 16
-    return out
 
 
 @dataclass(frozen=True, slots=True, init=False, repr=False)
@@ -141,10 +125,12 @@ class PauliString:
         return PauliString(self.num_qubits, self.x, self.z, 0)
 
     def sort_key(self) -> tuple[int, int]:
-        """(weight, base-4 axis code); the (weight, label()) order.  Computed
-        on first use and kept."""
+        """(weight, code): the binary digits of ``x ^ z`` read in base 4 plus
+        twice those of ``z``; the (weight, label()) order.  Computed on first
+        use and kept."""
         if (key := self._key) is None:
-            key = (self.weight, _spread(self.x ^ self.z) | _spread(self.z) << 1)
+            code = int(format(self.x ^ self.z, "b"), 4)
+            key = (self.weight, code | int(format(self.z, "b"), 4) << 1)
             object.__setattr__(self, "_key", key)
         return key
 

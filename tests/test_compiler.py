@@ -13,13 +13,30 @@ from trijunction.compiler import (
     count_resources,
     sweep,
 )
-from trijunction.hamiltonians import TrijunctionParams, trijunction_h
-from trijunction.majorana import PROTOCOL_CONFIGS, build_sub_operators, protocol_steps
+from trijunction.hamiltonians import (
+    TrijunctionParams,
+    trijunction_h,
+    trotter_rotations,
+    trotter_slices,
+)
+from trijunction.majorana import (
+    PROTOCOL_CONFIGS,
+    ExchangeOperator,
+    MajoranaHamiltonian,
+    MajoranaIndex,
+    MajoranaMonomial,
+    braid_exchanges,
+    build_sub_operators,
+    conjugate_hamiltonian,
+    protocol_steps,
+)
 from trijunction.mappings import (
     coupler_layout,
     exchange_rotation,
     layout_for,
     map_hamiltonian,
+    map_majorana,
+    map_monomial,
 )
 from trijunction.pauli import PauliString, to_matrix
 from trijunction.simulator import braid_unitary
@@ -307,7 +324,8 @@ def test_sweep_rejects_unknown_method():
 
 
 def reference_fragment(string, angle):
-    """compile_rotation's gate list, built anew on every call."""
+    """compile_rotation's gate list, built anew on every call from the axis
+    letters (the compiler reads the bits)."""
     support = string.support()
     pre, post = [], []
     for q in support:
@@ -374,6 +392,120 @@ def test_phased_copy_of_cached_string_still_raises():
     for phase_exp in (1, 2, 3):
         with pytest.raises(ValueError):
             compile_rotation(PauliString(3, string.x, string.z, phase_exp), 0.2)
+
+
+def heisenberg(gates, x, z, phase):
+    """U^dagger P U for the circuit U of ``gates`` (first gate acts first) and
+    every string P = i**phase * W(x, z) of the int64 arrays at once.
+
+    One pass over the gates, last first, conjugates all strings P ->
+    g^dagger P g on their bitmasks by the tableau rules of Aaronson and
+    Gottesman (quant-ph/0406196), tracking the i**k phase.  rz(+-pi/2) is s
+    or sdg up to a global phase, which conjugation drops; any other rz angle
+    is not a Clifford gate and fails.
+    """
+    x, z, phase = x.copy(), z.copy(), phase.copy()
+    for name, qubits, angle in reversed(gates):
+        if name == "cx":
+            a, b = qubits
+            xa, za, xb, zb = x >> a & 1, z >> a & 1, x >> b & 1, z >> b & 1
+            phase += 2 * (xa & zb & (xb ^ za ^ 1))
+            x ^= xa << b
+            z ^= zb << a
+            continue
+        (q,) = qubits
+        xq, zq = x >> q & 1, z >> q & 1
+        if name == "rz":
+            assert abs(abs(angle) - np.pi / 2) < 1e-12, angle
+            name = "s" if angle > 0 else "sdg"
+        if name == "h":  # X <-> Z, Y -> -Y
+            phase += 2 * (xq & zq)
+            x ^= (xq ^ zq) << q
+            z ^= (xq ^ zq) << q
+        elif name == "s":  # S^dagger X S = -Y, S^dagger Y S = X
+            phase += 2 * (xq & (zq ^ 1))
+            z ^= xq << q
+        elif name == "sdg":  # S X S^dagger = Y, S Y S^dagger = -X
+            phase += 2 * (xq & zq)
+            z ^= xq << q
+        else:
+            raise ValueError(f"unknown gate {name!r}")
+    return x, z, phase & 3
+
+
+def as_arrays(strings):
+    return tuple(
+        np.array([getattr(s, f) for s in strings], dtype=np.int64)
+        for f in ("x", "z", "phase_exp")
+    )
+
+
+def test_heisenberg_matches_dense_conjugation():
+    # The tableau oracle itself, gate by gate, against the dense matrices.
+    num_qubits = 3
+    strings = [
+        PauliString(num_qubits, x, z, phase)
+        for x in range(8)
+        for z in range(8)
+        for phase in (0, 2)
+    ]
+    gates = [Gate(g, (q,)) for g in ("h", "s", "sdg") for q in range(3)]
+    gates += [Gate("cx", (a, b)) for a in range(3) for b in range(3) if a != b]
+    gates += [Gate("rz", (1,), np.pi / 2), Gate("rz", (2,), -np.pi / 2)]
+    for gate in gates:
+        U = circuit_unitary(Circuit(num_qubits, [gate]))
+        for s, x, z, phase in zip(strings, *heisenberg([gate], *as_arrays(strings))):
+            got = to_matrix(PauliString(num_qubits, int(x), int(z), int(phase)))
+            np.testing.assert_allclose(got, U.conj().T @ to_matrix(s) @ U, atol=1e-12)
+
+
+@pytest.mark.parametrize("steps", [1, 3, 6])
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+@pytest.mark.parametrize("kind", ["coupler", "continuous"])
+def test_compiled_braid_maps_every_mode_like_the_inverse_exchange_chain(kind, n, steps):
+    # Heisenberg picture (Gottesman, quant-ph/9807006): U^dagger g U for the
+    # compiled braid U is g conjugated by the exchanges in reverse order, each
+    # inverted ((1 + g_k g_l)^-1 is (1 + g_l g_k) up to scale), at any n.
+    layout = layout_for(kind, n)
+    modes = [MajoranaIndex(a, j, o) for a in (1, 2, 3) for j in range(n) for o in "xy"]
+    got = heisenberg(
+        compile_braiding(layout, steps).gates,
+        *as_arrays([map_majorana(m, layout) for m in modes]),
+    )
+    inverse = [ExchangeOperator(o.l, o.k) for o in reversed(braid_exchanges(n, steps))]
+    for m, x, z, phase in zip(modes, *got):
+        one_mode = MajoranaHamiltonian([MajoranaMonomial(1.0, (m,))], n)
+        (image,) = conjugate_hamiltonian(one_mode, inverse).terms
+        coeff, string = map_monomial(image, layout)
+        sign = int(coeff.real)
+        assert coeff == sign and sign in (1, -1)
+        want = PauliString(layout.total_qubits, string.x, string.z, 1 - sign)
+        assert PauliString(layout.total_qubits, int(x), int(z), int(phase)) == want
+
+
+@pytest.mark.parametrize("kind", ["coupler", "continuous"])
+def test_fragment_head_maps_z_on_the_rz_qubit_to_its_string(kind):
+    # exp(-i*theta*P) = V^dagger exp(-i*theta*Z_q) V for the head V, so
+    # V^dagger Z_q V must be P; this holds above circuit_unitary's limit.
+    for n in range(1, 9):
+        layout = layout_for(kind, n)
+        mapped = {
+            c: map_hamiltonian(trijunction_h(c, TrijunctionParams(n=n)), layout)
+            for c in PROTOCOL_CONFIGS
+        }
+        strings = {
+            string
+            for ci, cf in protocol_steps()
+            for h_s, dt in trotter_slices(mapped[ci], mapped[cf], 1.0, 10)
+            for string, _ in trotter_rotations(h_s, dt, 1)
+        }
+        for string in strings:
+            gates, _ = compile_rotation(string, 0.25)
+            k = [g.name for g in gates].index("rz")
+            (q,) = gates[k].qubits
+            z_q = PauliString(string.num_qubits, 0, 1 << q)
+            (x,), (z,), (phase,) = heisenberg(gates[:k], *as_arrays([z_q]))
+            assert PauliString(string.num_qubits, int(x), int(z), int(phase)) == string
 
 
 def reference_count(circuit):

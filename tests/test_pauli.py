@@ -244,10 +244,11 @@ def label_key(s):
     return (s.weight, s.label())
 
 
-@pytest.mark.parametrize("num_qubits", [1, 2, 7, 8, 9, 16, 17, 25, 30])
+@pytest.mark.parametrize("num_qubits", [1, 2, 7, 8, 9, 16, 17, 25, 30, 64])
 def test_sort_key_orders_as_weight_then_label(num_qubits):
-    # The integer axis code must give the (weight, label) order; the qubit
-    # counts cross the byte boundaries of its spreading table.
+    # The integer axis code must be the label read in base 4 (I, X, Y, Z as
+    # the digits 0..3), so it gives the (weight, label) order; the qubit
+    # counts cross byte and word boundaries of the masks.
     rng = random.Random(num_qubits)
     strings = []
     for _ in range(300):
@@ -258,6 +259,9 @@ def test_sort_key_orders_as_weight_then_label(num_qubits):
             keep = rng.getrandbits(num_qubits) & rng.getrandbits(num_qubits)
             x, z = x & keep, z & keep
         strings.append(PauliString(num_qubits, x, z))
+    digits = str.maketrans("IXYZ", "0123")
+    for s in strings:
+        assert s.sort_key() == (s.weight, int(s.label().translate(digits), 4))
     assert sorted(strings, key=PauliString.sort_key) == sorted(strings, key=label_key)
     pairs = [(rng.uniform(-1.0, 1.0), s) for s in strings]
     terms = [s for _, s in PauliSum(num_qubits, pairs).terms]

@@ -8,9 +8,11 @@ from trijunction.hamiltonians import TrijunctionParams, trijunction_h, zero_mode
 from trijunction.majorana import (
     PROTOCOL_CONFIGS,
     Configuration,
+    MajoranaHamiltonian,
     MajoranaIndex,
     MajoranaMonomial,
     braid_exchanges,
+    conjugate_hamiltonian,
     conjugate_monomial,
 )
 from trijunction.mappings import (
@@ -444,6 +446,33 @@ def test_ground_pair_and_braid_phases_over_the_gap_scales(kind, n, delta, alpha,
     assert abs(project_braid(single, gs).dphi - np.pi / 2) <= PHASE_TOL
     double = braid_unitary(layout, 3, single)
     assert abs(project_braid(double, gs).dphi - np.pi) <= PHASE_TOL
+
+
+def symbolic_dphi(n, steps):
+    """|arg(a2/a1)| of the braid on the ground pair of H_12, read off the
+    image of the free mode y_b = y_{2,n-1} under the exchanges alone: s*y_b
+    gives a2/a1 = s, and s*y_a (y_a = y_{1,n-1}) gives i*s."""
+    y_a, y_b = MajoranaIndex(1, n - 1, "y"), MajoranaIndex(2, n - 1, "y")
+    one_mode = MajoranaHamiltonian([MajoranaMonomial(1.0, (y_b,))], n)
+    (image,) = conjugate_hamiltonian(one_mode, braid_exchanges(n, steps)).terms
+    ratio = {(y_b,): 1, (y_a,): 1j}[image.factors] * image.coefficient
+    return abs(np.angle(ratio))
+
+
+@pytest.mark.parametrize("steps", [3, 6])
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("kind", ["coupler", "continuous"])
+def test_symbolic_braid_phase_matches_the_state_vector(kind, n, steps):
+    layout = layout_for(kind, n)
+    gs = trijunction_ground_space(CONFIG_12, TrijunctionParams(n=n), layout)
+    report = project_braid(braid_unitary(layout, steps, gs.basis), gs)
+    assert abs(symbolic_dphi(n, steps) - report.dphi) <= PHASE_TOL
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 10, 100, 1000])
+def test_symbolic_braid_phases_are_exact_at_any_n(n):
+    assert symbolic_dphi(n, 3) == np.pi / 2
+    assert symbolic_dphi(n, 6) == np.pi
 
 
 def test_odd_y_hamiltonian_keeps_complex_eigh():
