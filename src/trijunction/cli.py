@@ -170,13 +170,11 @@ def cmd_braid(config: argparse.Namespace) -> tuple[dict, bool]:
     gs = simulator.trijunction_ground_space(PROTOCOL_CONFIGS[0], params(config), layout)
     results: dict = {"steps": steps}
     ok = True
-    finals = {}
-    for sign, tag in ((+1, "plus"), (-1, "minus")):
-        psi = simulator.prepare_initial(gs, sign)
-        final = simulator.apply_braid(psi, layout, steps)
-        finals[tag] = final
-        target = simulator.prepare_initial(gs, -sign)
-        results[f"fidelity_{tag}_to_opposite"] = _f(simulator.fidelity(target, final))
+    plus, minus = simulator.prepare_initial(gs, +1), simulator.prepare_initial(gs, -1)
+    final_plus = simulator.apply_braid(plus, layout, steps)
+    final_minus = simulator.apply_braid(minus, layout, steps)
+    results["fidelity_plus_to_opposite"] = _f(simulator.fidelity(minus, final_plus))
+    results["fidelity_minus_to_opposite"] = _f(simulator.fidelity(plus, final_minus))
     if steps == 6:
         passed = all(
             abs(results[f"fidelity_{tag}_to_opposite"] - 1.0) <= BRAID_FIDELITY_TOL
@@ -184,7 +182,7 @@ def cmd_braid(config: argparse.Namespace) -> tuple[dict, bool]:
         )
         results["swap_ok"] = passed
         ok = passed
-    results[_PAIRS_KEY] = _complex_pairs(finals["plus"])
+    results[_PAIRS_KEY] = _complex_pairs(final_plus)
     results["checks_passed"] = ok
     return results, ok
 

@@ -15,10 +15,10 @@ Trotter steps live here).  Basis convention: bit b of the index is qubit b,
 kets are written |q_{Q-1} ... q_1 q_0>.
 
 A run repeats a short list of strings thousands of times (a Trotterised
-protocol at n sites uses 9n distinct strings), so each string's gather, the
-permutation i ^ x and the permuted phases w[i ^ x], is built once and kept in
-a bounded cache of the 64 most recent strings: at most 64 * 24 B * 2^Q, about
-12.6 MB at 13 qubits.
+protocol at n sites uses 9n distinct strings), so :func:`string_action` builds
+each string's permutation i ^ x and phases w[i ^ x] once and keeps the 64 most
+recent: at most 64 * 24 B * 2^Q, about 12.6 MB at 13 qubits.  The dense
+builders in ``trijunction.pauli`` scatter the same pair.
 """
 
 from __future__ import annotations
@@ -32,29 +32,22 @@ __all__ = [
     "active_backend",
     "apply_rotation",
     "apply_string_to_matrix",
-    "pauli_action_phases",
     "rotate_matrix",
+    "string_action",
 ]
 
 _I_POWERS = np.array([1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j])
 
 
-def pauli_action_phases(num_qubits: int, x: int, z: int, phase_exp: int) -> np.ndarray:
-    """Return w with P|i> = w[i] |i ^ x> for the string (num_qubits, x, z, phase_exp)."""
-    idx = np.arange(1 << num_qubits, dtype=np.uint64)
-    par = np.bitwise_count(idx & np.uint64(z)) & 1
-    e = (phase_exp + (x & z).bit_count()) & 3
-    return _I_POWERS[e] * (1.0 - 2.0 * par)
-
-
 @functools.lru_cache(maxsize=64)
-def _string_action(
+def string_action(
     num_qubits: int, x: int, z: int, phase_exp: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Read-only (perm, w[perm]) with perm = arange(2^Q) ^ x, so that
-    (P @ M)[i] = w[perm][i] * M[perm[i]].  64 strings of 24 B * 2^Q each."""
+    (P @ M)[i] = w[perm][i] * M[perm[i]] and P[i, perm[i]] = w[perm][i]."""
     perm = np.arange(1 << num_qubits) ^ x
-    wp = pauli_action_phases(num_qubits, x, z, phase_exp)[perm]
+    par = np.bitwise_count(perm & z) & 1
+    wp = _I_POWERS[(phase_exp + (x & z).bit_count()) & 3] * (1.0 - 2.0 * par)
     perm.setflags(write=False)
     wp.setflags(write=False)
     return perm, wp
@@ -63,25 +56,23 @@ def _string_action(
 def apply_string_to_matrix(
     M: np.ndarray, num_qubits: int, x: int, z: int, phase_exp: int
 ) -> np.ndarray:
-    """P @ M for a state vector or a (2^Q, k) block M whose rows are indexed
-    like basis states."""
+    """P @ M, as a new array, for a complex state vector or (2^Q, k) block M
+    whose rows are indexed like basis states."""
     if M.shape[0] != (1 << num_qubits):
         raise ValueError(f"{M.shape[0]} rows do not match {num_qubits} qubits")
-    perm, wp = _string_action(num_qubits, x, z, phase_exp)
-    return wp.reshape(perm.shape + (1,) * (M.ndim - 1)) * M[perm]
+    perm, wp = string_action(num_qubits, x, z, phase_exp)
+    out = M[perm]
+    out *= wp if M.ndim == 1 else wp[:, None]
+    return out
 
 
 def _rotate(
     M: np.ndarray, num_qubits: int, x: int, z: int, phase_exp: int, theta: float
 ) -> np.ndarray:
     """exp(-i*theta*P) @ M for a state vector or a (2^Q, k) block M, as a new
-    array: the gather M[perm] is scaled in place and the result written over
+    array: the gather P @ M is scaled in place and the result written over
     it, bit for bit cos(theta) M - i sin(theta) P @ M."""
-    if M.shape[0] != (1 << num_qubits):
-        raise ValueError(f"{M.shape[0]} rows do not match {num_qubits} qubits")
-    perm, wp = _string_action(num_qubits, x, z, phase_exp)
-    out = M[perm]
-    out *= wp if M.ndim == 1 else wp[:, None]
+    out = apply_string_to_matrix(M, num_qubits, x, z, phase_exp)
     out *= 1j * math.sin(theta)
     return np.subtract(math.cos(theta) * M, out, out=out)
 

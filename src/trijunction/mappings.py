@@ -134,12 +134,12 @@ def exchange_rotation(
 ) -> tuple[PauliString, float]:
     """(P, theta) with the exchange unitary equal to exp(-i*theta*P).
 
-    The mode pair product g_k g_l squares to -1, so it maps to +-i times a
-    Hermitian string P and (1 + g_k g_l)/sqrt(2) = exp(-i*theta*P) with
-    theta = -+ pi/4.  Results are cached per (exchange, layout); both are
-    immutable, and a rejected pair raises again on every call.
+    The mode pair product g_k g_l squares to -1, so it maps to i**e, e odd,
+    times a Hermitian string P, and (1 + g_k g_l)/sqrt(2) = exp(-i*theta*P)
+    with theta = (e - 2) * pi/4.  Results are cached per (exchange, layout);
+    both are immutable, and a rejected pair raises again on every call.
     """
-    coeff, string = map_monomial(MajoranaMonomial(1.0, (o.k, o.l)), layout)
-    if abs(coeff.real) > 1e-12 or abs(abs(coeff.imag) - 1.0) > 1e-12:
-        raise ValueError(f"mode pair mapped to non-quadrature coefficient {coeff}")
-    return string, -coeff.imag * (math.pi / 4.0)
+    p = multiply(map_majorana(o.k, layout), map_majorana(o.l, layout))
+    if p.phase_exp % 2 == 0:
+        raise ValueError(f"mode pair mapped to non-quadrature coefficient {p.phase}")
+    return p.drop_phase(), (p.phase_exp - 2) * (math.pi / 4.0)

@@ -40,7 +40,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .kernels import pauli_action_phases
+from .kernels import string_action
 
 __all__ = [
     "DENSE_QUBIT_LIMIT",
@@ -183,14 +183,12 @@ def _canonical(
 
 
 def to_matrix(s: PauliString) -> np.ndarray:
-    """Dense 2^Q x 2^Q realisation; permutation-plus-phase fill, no krons."""
+    """Dense 2^Q x 2^Q realisation P[i, perm[i]] = w[perm][i], no krons."""
     if s.num_qubits > DENSE_QUBIT_LIMIT:
         raise ValueError(f"dense realisation limited to {DENSE_QUBIT_LIMIT} qubits")
-    dim = 1 << s.num_qubits
-    w = pauli_action_phases(s.num_qubits, s.x, s.z, s.phase_exp)
-    idx = np.arange(dim)
-    M = np.zeros((dim, dim), dtype=np.complex128)
-    M[idx ^ s.x, idx] = w
+    perm, wp = string_action(s.num_qubits, s.x, s.z, s.phase_exp)
+    M = np.zeros((perm.size, perm.size), dtype=np.complex128)
+    M[np.arange(perm.size), perm] = wp
     return M
 
 
@@ -259,10 +257,10 @@ class PauliSum:
         dim = 1 << self.num_qubits
         real = all((s.x & s.z).bit_count() % 2 == 0 for _, s in self.terms)
         M = np.zeros((dim, dim), dtype=np.float64 if real else np.complex128)
-        idx = np.arange(dim)
+        rows = np.arange(dim)
         for coeff, string in self.terms:
-            w = pauli_action_phases(self.num_qubits, string.x, string.z, 0)
-            M[idx ^ string.x, idx] += coeff * (w.real if real else w)
+            perm, wp = string_action(self.num_qubits, string.x, string.z, 0)
+            M[rows, perm] += coeff * (wp.real if real else wp)
         return M
 
     def __repr__(self) -> str:

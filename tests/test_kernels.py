@@ -1,6 +1,7 @@
 """Rotation kernel: unitarity, state/block agreement, the eigen-oracle, and
 the per-string action cache."""
 
+import itertools
 import math
 
 import numpy as np
@@ -131,7 +132,7 @@ def test_cached_action_is_bitwise_equal_to_uncached_formula(num_qubits):
 
 
 def test_cached_action_arrays_are_read_only():
-    perm, wp = kernels._string_action(5, 0b10110, 0b01101, 0)
+    perm, wp = kernels.string_action(5, 0b10110, 0b01101, 0)
     assert not perm.flags.writeable
     assert not wp.flags.writeable
     with pytest.raises(ValueError):
@@ -141,8 +142,8 @@ def test_cached_action_arrays_are_read_only():
 
 
 def test_more_strings_than_the_cache_holds_stay_correct():
-    kernels._string_action.cache_clear()
-    maxsize = kernels._string_action.cache_info().maxsize
+    kernels.string_action.cache_clear()
+    maxsize = kernels.string_action.cache_info().maxsize
     num_qubits = 8
     rng = np.random.default_rng(21)
     masks = rng.integers(0, 1 << num_qubits, size=(4 * maxsize, 2))
@@ -154,7 +155,7 @@ def test_more_strings_than_the_cache_holds_stay_correct():
             got = kernels.apply_rotation(psi, num_qubits, x, z, 0, 0.4)
             want = uncached_rotation(psi, num_qubits, x, z, 0, 0.4)
             assert np.array_equal(got, want)
-    assert kernels._string_action.cache_info().currsize == maxsize
+    assert kernels.string_action.cache_info().currsize == maxsize
 
 
 def bit_pattern(a):
@@ -192,3 +193,26 @@ def test_fused_rotation_is_bitwise_the_two_term_formula(phase_exp, cols):
             assert got.shape == shape
             assert np.array_equal(bit_pattern(got), bit_pattern(want))
             assert np.array_equal(bit_pattern(M), bit_pattern(keep))
+
+
+@pytest.mark.parametrize("num_qubits", [1, 2, 5, 9, 12])
+def test_string_action_is_the_encoded_permutation_and_phases(num_qubits):
+    """Index by index against the ``pauli`` encoding, P|j> = w(j)|j ^ x>:
+    row i of P holds w(i ^ x) in column i ^ x, for the kernel table and for
+    the dense matrix built from it."""
+    rng = np.random.default_rng(700 + num_qubits)
+    dim = 1 << num_qubits
+    masks = rng.integers(0, dim, size=(3, 2)).tolist()
+    for (x, z), e in itertools.product(masks, range(4)):
+        want_perm = [i ^ x for i in range(dim)]
+        want_wp = [
+            1j ** ((e + (x & z).bit_count()) % 4) * (-1) ** ((i ^ x) & z).bit_count()
+            for i in range(dim)
+        ]
+        perm, wp = kernels.string_action(num_qubits, x, z, e)
+        assert perm.tolist() == want_perm
+        assert wp.tolist() == want_wp
+        if num_qubits <= 9:  # two dense 12-qubit matrices would take 512 MB
+            dense = np.zeros((dim, dim), dtype=np.complex128)
+            dense[np.arange(dim), want_perm] = want_wp
+            assert np.array_equal(to_matrix(PauliString(num_qubits, x, z, e)), dense)

@@ -1,6 +1,7 @@
 """Mode-to-string translations: locality, algebra faithfulness, gauge sector."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -295,3 +296,28 @@ def test_exchange_rotation_rejects_a_self_exchange_on_every_call():
     for _ in range(3):
         with pytest.raises(ValueError, match="non-quadrature coefficient"):
             exchange_rotation(o, coupler_layout(1))
+
+
+def monomial_rotation(o, layout):
+    """(P, theta) by way of the mapped monomial 1.0 * g_k g_l: the coefficient
+    +-i gives theta = -+pi/4."""
+    coeff, string = map_monomial(MajoranaMonomial(1.0, (o.k, o.l)), layout)
+    assert coeff in (1j, -1j)
+    return string, -coeff.imag * (math.pi / 4.0)
+
+
+@pytest.mark.parametrize("kind", ["coupler", "continuous"])
+def test_exchange_angle_is_the_mapped_monomial_angle_exactly(kind):
+    for n in range(1, 9):
+        layout = QubitLayout(kind, n)
+        for o in braid_exchanges(n, 6):
+            string, theta = exchange_rotation(o, layout)
+            want_string, want_theta = monomial_rotation(o, layout)
+            assert string == want_string
+            assert theta == want_theta
+
+
+def test_self_exchange_message_names_the_unit_coefficient():
+    o = ExchangeOperator(g(2, 1, "y"), g(2, 1, "y"))
+    with pytest.raises(ValueError, match=r"non-quadrature coefficient \(1\+0j\)$"):
+        exchange_rotation(o, coupler_layout(2))

@@ -1,6 +1,7 @@
 """Module hygiene: every exported name exists, no import or private
-top-level name goes unused, no top-level name shadows a builtin, and README's
-module table lists every module.
+top-level name goes unused, no top-level name shadows a builtin, no module
+reaches into a sibling's private names, and README's module table lists every
+module.
 
 A deletion that leaves an import, an ``__all__`` entry or a private helper
 behind fails here rather than lingering as dead code.  A module-level
@@ -91,6 +92,39 @@ def test_every_private_top_level_name_is_used(module):
     }
     unused = {name: line for name, line in private.items() if name not in read}
     assert unused == {}
+
+
+def is_private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def sibling_private_names(tree: ast.Module) -> dict[str, int]:
+    """``sibling._name`` -> line, for each private name a module imports from
+    a sibling or reads off a sibling bound by ``from . import sibling``."""
+    siblings, found = set(), {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            source = node.module or ""
+            for alias in node.names:
+                if is_private(alias.name):
+                    found[f"{source}.{alias.name}"] = node.lineno
+                elif node.module is None:
+                    siblings.add(alias.asname or alias.name)
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in siblings
+            and is_private(node.attr)
+        ):
+            found[f"{node.value.id}.{node.attr}"] = node.lineno
+    return found
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_module_reads_a_sibling_private_name(module):
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    assert sibling_private_names(tree) == {}
 
 
 def test_every_module_has_a_readme_row():
