@@ -35,7 +35,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TrijunctionParams:
-    """n sites per arm; energies in units where the gap scale is O(1)."""
+    """n sites per arm; the gaps may have any scale.  Gaps times s, with every
+    time divided by s, give the same results but for the energies, times s."""
 
     n: int
     delta: float = 1.0

@@ -80,7 +80,7 @@ def normalize(m: MajoranaMonomial) -> MajoranaMonomial:
 
 @dataclass(frozen=True, slots=True, init=False, repr=False)
 class MajoranaHamiltonian:
-    """Merged, normalised collection of quadratic monomials over n-site arms;
+    """Merged, normalised quadratic monomials over n-site arms, exact zeros dropped;
     equality is value equality on the canonically ordered terms and ``n``."""
 
     terms: tuple[MajoranaMonomial, ...]
@@ -91,9 +91,7 @@ class MajoranaHamiltonian:
         for term in terms:
             norm = normalize(term)
             merged[norm.factors] = merged.get(norm.factors, 0.0) + norm.coefficient
-        kept = [
-            MajoranaMonomial(c, f) for f, c in merged.items() if abs(c) > 1e-12
-        ]
+        kept = [MajoranaMonomial(c, f) for f, c in merged.items() if c != 0]
         kept.sort(key=lambda t: t.factors)
         object.__setattr__(self, "terms", tuple(kept))
         object.__setattr__(self, "n", n)

@@ -25,7 +25,8 @@ twice those of ``z``.  Qubit Q-1 is the most significant digit, so among
 strings of one qubit count this is the ``(weight, label())`` order
 ('I' < 'X' < 'Y' < 'Z').
 
-A :class:`PauliSum` keeps its terms canonical (see ``_canonical``).  The
+A :class:`PauliSum` keeps its terms canonical (see ``_canonical``); only an
+exactly zero coefficient is dropped, so no operation has an energy unit.  The
 constructor converts and checks its inputs first; ``+`` merges its two
 operands, canonical already, without that check.
 
@@ -168,7 +169,7 @@ def _canonical(
 ) -> tuple[tuple[float, PauliString], ...]:
     """Real-weighted phase-free strings merged by :meth:`PauliString.sort_key`
     (injective among strings of one qubit count): coefficients summed in input
-    order from 0.0, |c| <= 1e-12 pruned, the rest in key order."""
+    order from 0.0, exact zeros (either sign) dropped, the rest in key order."""
     coeffs: dict[tuple[int, int], float] = {}
     strings: dict[tuple[int, int], PauliString] = {}
     for c, string in terms:
@@ -178,7 +179,7 @@ def _canonical(
     return tuple(
         (coeffs[key], strings[key])
         for key in sorted(coeffs)
-        if abs(coeffs[key]) > 1e-12
+        if coeffs[key] != 0
     )
 
 
@@ -196,12 +197,12 @@ def to_matrix(s: PauliString) -> np.ndarray:
 class PauliSum:
     """Real-weighted sum of phase-free Pauli strings (a Hermitian operator).
 
-    Terms are merged by string, pruned below 1e-12, and kept in the fixed
-    :meth:`PauliString.sort_key` order, weight first and then the integer
-    axis code, which is the (weight, label) order; so any consumer iterating
-    ``terms`` sees the same deterministic sequence.  Scaling by a Python int
-    or float keeps the strings and their order, so it only scales and prunes.
-    Equality is identity: two sums with the same terms are not ``==``.
+    Terms are merged by string, dropped only when exactly zero, and kept in
+    the fixed :meth:`PauliString.sort_key` order, weight first and then the
+    integer axis code, which is the (weight, label) order; so any consumer
+    iterating ``terms`` sees the same deterministic sequence.  Scaling by a
+    Python int or float keeps the strings and their order, so it only scales
+    and drops zeros.  Equality is identity: two sums with the same terms are not ``==``.
     """
 
     num_qubits: int
@@ -215,7 +216,7 @@ class PauliSum:
             if string.num_qubits != num_qubits:
                 raise ValueError("term qubit count mismatch")
             c = complex(coeff) * string.phase
-            if abs(c.imag) > 1e-12:
+            if abs(c.imag) > 1e-12 * abs(c.real):
                 raise ValueError(f"non-Hermitian term with coefficient {c}")
             real_terms.append((c.real, string.drop_phase()))
         object.__setattr__(self, "num_qubits", num_qubits)
@@ -245,7 +246,7 @@ class PauliSum:
             return PauliSum(
                 self.num_qubits, ((scalar * c, s) for c, s in self.terms)
             )
-        terms = tuple((v, s) for c, s in self.terms if abs(v := scalar * c) > 1e-12)
+        terms = tuple((v, s) for c, s in self.terms if (v := scalar * c) != 0)
         return PauliSum._of(self.num_qubits, terms)
 
     __rmul__ = __mul__

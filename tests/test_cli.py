@@ -3,6 +3,7 @@
 import argparse
 import contextlib
 import csv
+import functools
 import io
 import json
 import math
@@ -14,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import trijunction
 from trijunction import cli
@@ -454,6 +455,8 @@ def test_package_import_loads_no_submodule():
         ("verify", "--sites", "1", "--tcoupling", "1e-9"),
         ("braid", "--sites", "3", "--alpha", "1e-9"),
         ("verify", "--sites", "3", "--mapping", "continuous", "--tcoupling", "1e-9"),
+        ("verify", "--sites", "2", "--alpha", "1e-13"),
+        ("verify", "--sites", "2", "--delta", "1e3", "--alpha", "1e-13"),
         *(
             ("verify", "--sites", "2", "--delta", g, "--alpha", g, "--tcoupling", g)
             for g in ("1e200", "1e300", "1e307")
@@ -488,13 +491,52 @@ def test_an_overflowing_energy_fails_the_certificate(capsys):
     assert err == "error: ground pair energy -inf is not finite\n"
 
 
-def test_a_pruned_gap_leaves_free_modes(capsys):
-    # PauliSum drops |c| <= 1e-12, so alpha = 1e-13 removes the two arm-3
-    # pairings and frees two qubits of the (+, +) slice.
-    code, out, err = run(capsys, "verify", "--sites", "2", "--alpha", "1e-13")
-    assert code == 2
-    assert out == ""
-    assert "dimension 4, expected 1" in err
+LAYOUTS = [(n, mapping) for n in (1, 2, 3) for mapping in ("coupler", "continuous")]
+
+
+def scaled_results(command, n, mapping, s):
+    """In-process ``main`` on gaps (1, 1.5, 0.75)*s, and tau 3/s with ten
+    slices for ``adiabatic``: (exit code, stderr, ``results`` or None)."""
+    argv = [command, "--sites", str(n), "--mapping", mapping, "--delta", repr(s),
+            "--alpha", repr(1.5 * s), "--tcoupling", repr(0.75 * s)]
+    if command == "adiabatic":
+        argv += ["--tau", repr(3 / s), "--trotter-steps", "10"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue(), json.loads(out.getvalue())["results"] if code == 0 else None
+
+
+@functools.cache
+def unit_scale_results(command, n, mapping):
+    code, err, results = scaled_results(command, n, mapping, 1.0)
+    assert code == 0, err
+    return results
+
+
+@settings(max_examples=20, deadline=None)
+@given(s=st.floats(-300, 300).map(lambda e: 10.0**e))
+@example(s=1e-11)
+@example(s=1e-13)
+@example(s=1e-300)
+@example(s=1e300)
+def test_scaling_the_gaps_and_time_changes_only_the_energies(s):
+    # Every rotation angle c*dt and every term sign is scale-free, so the
+    # results at gap scale s are those at s = 1, with energies times s.
+    for n, mapping in LAYOUTS:
+        got = {}
+        for command in ("adiabatic", "verify", "braid"):
+            code, err, got[command] = scaled_results(command, n, mapping, s)
+            assert code == 0, (command, n, mapping, err)
+        want = unit_scale_results("adiabatic", n, mapping)
+        assert abs(got["adiabatic"]["braid_fidelity"] - want["braid_fidelity"]) <= 1e-12
+        for key in ("two_qubit_count", "depth", "per_transition_two_qubit"):
+            assert got["adiabatic"][key] == want[key], (key, n, mapping)
+        assert got["verify"]["checks_passed"] is True
+        assert got["braid"]["checks_passed"] is True
+        energies = got["verify"]["ground_energies"]
+        unit = unit_scale_results("verify", n, mapping)["ground_energies"]
+        assert energies == pytest.approx([s * e for e in unit], rel=1e-11, abs=0)
 
 
 def test_state_commands_run_no_eigensolver():

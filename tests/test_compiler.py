@@ -185,16 +185,6 @@ def test_braiding_rotation_count_is_12n(kind):
         assert sum(1 for g in circuit.gates if g.name == "rz") == 12 * n
 
 
-@pytest.mark.parametrize("kind", ["coupler", "continuous"])
-def test_braiding_two_qubit_count_is_affine_in_n(kind):
-    counts = [
-        count_resources(compile_braiding(layout_for(kind, n), 6)).two_qubit_count
-        for n in (1, 2, 3, 4)
-    ]
-    diffs = np.diff(counts)
-    assert len(set(diffs.tolist())) == 1
-
-
 # Closed forms for the two-qubit count, from the mapped string weights alone.
 # A weight-w rotation costs 2(w - 1) entanglers.  Weights: intra-arm hopping
 # terms and sweep exchanges 2, on-site terms 1, and the junction string
