@@ -14,11 +14,11 @@ for bit.  This is the hot inner loop of the simulator (exchange rotations and
 Trotter steps live here).  Basis convention: bit b of the index is qubit b,
 kets are written |q_{Q-1} ... q_1 q_0>.
 
-A run repeats a short list of strings thousands of times (a Trotterised
-protocol at n sites uses 9n distinct strings), so :func:`string_action` builds
+A run repeats few strings: the three configurations map to 6n at n sites on
+either layout, a braid's exchanges to 3n + 3.  So :func:`string_action` builds
 each string's permutation i ^ x and phases w[i ^ x] once and keeps the 64 most
-recent: at most 64 * 24 B * 2^Q, about 12.6 MB at 13 qubits.  The dense
-builders in ``trijunction.pauli`` scatter the same pair.
+recent, a whole Trotter run's up to n = 10, in at most 64 * 24 B * 2^Q (12.6 MB
+at 13 qubits); the dense builders in ``trijunction.pauli`` scatter the pair.
 """
 
 from __future__ import annotations

@@ -3,8 +3,8 @@
 A mode lives at (arm, site, orientation) with arm in {1, 2, 3}, site in
 [0, n) along the arm, and orientation 'x' or 'y'.  Monomials are ordered
 products of modes with a complex weight; normalisation sorts the factors into
-the canonical (arm, site, x<y) order, flipping the sign once per transposition
-({g, g'} = 2*delta) and cancelling squared factors (g**2 = 1).
+the canonical (arm, site, x<y) order, signed by the parity of its inversions
+(pairs i < j, f_i > f_j; {g, g'} = 2*delta), and cancels squares (g**2 = 1).
 
 The exchange operator for a mode pair (k, l) is (1 + g_k g_l)/sqrt(2); its
 conjugation action sends g_k -> -g_l and g_l -> g_k and fixes every other
@@ -60,22 +60,17 @@ class MajoranaMonomial:
 
 
 def normalize(m: MajoranaMonomial) -> MajoranaMonomial:
-    """Canonical order with anticommutation signs; squared factors cancel."""
-    factors = list(m.factors)
-    sign = 1
-    for i in range(1, len(factors)):
-        j = i
-        while j > 0 and factors[j] < factors[j - 1]:
-            factors[j], factors[j - 1] = factors[j - 1], factors[j]
-            sign = -sign
-            j -= 1
+    """Sorted factors with sign (-1)**(pairs i < j with factors[i] > factors[j],
+    so equal modes never count); squared factors cancel."""
+    factors = m.factors
+    inversions = sum(a > b for i, a in enumerate(factors) for b in factors[i + 1 :])
     reduced: list[MajoranaIndex] = []
-    for f in factors:
+    for f in sorted(factors):
         if reduced and reduced[-1] == f:
             reduced.pop()
         else:
             reduced.append(f)
-    return MajoranaMonomial(sign * m.coefficient, tuple(reduced))
+    return MajoranaMonomial((-1) ** inversions * m.coefficient, tuple(reduced))
 
 
 @dataclass(frozen=True, slots=True, init=False, repr=False)
@@ -134,22 +129,18 @@ def conjugate_monomial(m: MajoranaMonomial, o: ExchangeOperator) -> MajoranaMono
 def conjugate_hamiltonian(
     h: MajoranaHamiltonian, ops: Iterable[ExchangeOperator]
 ) -> MajoranaHamiltonian:
-    """Conjugate by ``ops`` applied in list order (first acts first).
+    """Conjugate by ``ops`` applied in iteration order (first acts first).
 
-    The chain is composed once into a signed mode map, each exchange sending
-    the mode now at g_k to -g_l and the one now at g_l to g_k, and each term's
-    factors are mapped through it once, so the cost is O(len(ops) + terms)
-    and every term is normalised once.  Equal to folding
-    ``conjugate_monomial`` over ``ops``, which stays as the reference.
+    The chain G = s_m o ... o s_1 is one signed mode map, folded from the last
+    exchange: G_j = G_{j+1} o s_j sets l -> G(k) and k -> -G(l).  Each term is
+    mapped through it and normalised once, O(len(ops) + terms), equal to
+    folding the reference ``conjugate_monomial`` over ``ops``.
     """
     image: dict[MajoranaIndex, tuple[int, MajoranaIndex]] = {}  # mode -> (sign, image)
-    source: dict[MajoranaIndex, MajoranaIndex] = {}  # image -> mode
-    for k, l in ops:
-        a, b = source.get(k, k), source.get(l, l)
-        sign_a, sign_b = image.get(a, (1, a))[0], image.get(b, (1, b))[0]
-        # in this order a self-exchange (k == l, so a == b) flips the sign
-        image[b], source[k] = (sign_b, k), b
-        image[a], source[l] = (-sign_a, l), a
+    for k, l in reversed(tuple(ops)):
+        to_k, (sign_l, at_l) = image.get(k, (1, k)), image.get(l, (1, l))
+        # in this order a self-exchange (k == l) flips the sign
+        image[l], image[k] = to_k, (-sign_l, at_l)
     terms = []
     for t in h.terms:
         coeff, factors = t.coefficient, []

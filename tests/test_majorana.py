@@ -5,7 +5,7 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from trijunction import majorana
 from trijunction.majorana import (
@@ -83,6 +83,9 @@ def reference_normalize(coefficient, factors):
 
 @settings(max_examples=300, deadline=None)
 @given(factors=st.lists(MODES, max_size=6))
+@example(factors=[g(1, 0, "x")] * 3)  # g_a**3 = +g_a
+@example(factors=[g(1, 0, "x"), g(1, 0, "y"), g(1, 0, "x")])  # one strict inversion: -g_b
+@example(factors=[g(2, 0, "x"), g(1, 1, "y"), g(1, 0, "x")])  # three inversions: sign -1
 def test_normalize_matches_the_rank_table_reference(factors):
     m = mono(1.5, *factors)
     assert normalize(m) == reference_normalize(1.5, factors)
@@ -174,11 +177,18 @@ EXCHANGES = st.builds(ExchangeOperator, SMALL_MODES, SMALL_MODES)
 COEFFICIENTS = st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False)
 
 
+A, B, C = g(1, 0, "x"), g(1, 1, "y"), g(2, 0, "x")
+TERMS = [(1.5j, [A, B]), (-0.5, [B, C]), (2.0, [A]), (1j, [C, A])]
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     terms=st.lists(st.tuples(COEFFICIENTS, st.lists(SMALL_MODES, max_size=4)), max_size=6),
     ops=st.lists(EXCHANGES, max_size=12),
 )
+@example(terms=TERMS, ops=[ExchangeOperator(A, A)])  # a self-exchange flips g_A
+@example(terms=TERMS, ops=[ExchangeOperator(A, B), ExchangeOperator(B, C)])  # A now sits at B
+@example(terms=TERMS, ops=[ExchangeOperator(A, B), ExchangeOperator(B, A)])
 def test_composed_conjugation_equals_the_folded_chain(terms, ops):
     h = MajoranaHamiltonian([mono(c, *fs) for c, fs in terms], n=2)
     assert conjugate_hamiltonian(h, ops) == fold_conjugation(h, ops)
@@ -190,6 +200,8 @@ def test_protocol_conjugation_equals_the_folded_chain(n):
     for steps in (1, 3, 6):
         ops = braid_exchanges(n, steps)
         assert conjugate_hamiltonian(h, ops) == fold_conjugation(h, ops)
+        # any iterable is a chain, read once
+        assert conjugate_hamiltonian(h, iter(ops)) == conjugate_hamiltonian(h, ops)
 
 
 @pytest.mark.parametrize("length", [0, 1, 2, 6, 24, 48])
@@ -213,6 +225,7 @@ def test_empty_conjugation_is_identity():
     params = TrijunctionParams(n=2)
     h = trijunction_h(Configuration(1, 2), params)
     assert conjugate_hamiltonian(h, ()) == h
+    assert conjugate_hamiltonian(h, (o for o in ())) == h
 
 
 def test_sub_operator_counts():
