@@ -16,6 +16,7 @@ import io
 import json
 import math
 import os
+import re
 import sys
 import time
 
@@ -76,6 +77,9 @@ _GAP = _ruled(
     lambda v: math.isfinite(v) and v != 0,
     "finite and nonzero (a zero coupling leaves extra zero modes)",
 )
+# argparse reads a token that starts with "-" as a flag's value only if this
+# matches it; its own pattern takes -1 and -0.5 but not -1e-5 or -inf.
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)(e[+-]?\d+)?$|^-(inf|nan)$", re.I)
 _PATH = _ruled(
     str,
     lambda path: path != "" and os.path.isdir(os.path.dirname(path) or "."),
@@ -121,7 +125,10 @@ def _complex_pairs(v: np.ndarray) -> list:
 
 def _conjugation_cycle(n: int) -> list[dict]:
     """Symbolic check that each step maps its configuration Hamiltonian to
-    the next one exactly."""
+    the next one exactly, built at the default gaps whatever the run's, so
+    the rows do not depend on --delta, --alpha or --tcoupling.  The run's own
+    H_ab closes on every step exactly when delta == alpha or n == 1: the
+    exchanges carry a donor arm's delta bonds onto the trivial arm's alpha terms."""
     defaults = TrijunctionParams(n=n)
     h = {c: trijunction_h(c, defaults) for c in PROTOCOL_CONFIGS}
     rows = []
@@ -297,6 +304,7 @@ def _build_parser() -> argparse.ArgumentParser:
     }
     for name, help_text in specs.items():
         p = sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
+        p._negative_number_matcher = _NEGATIVE_NUMBER
         for dest, default in {**_DEFAULTS[name], **_OUTPUT}.items():
             kwargs = dict(_ARGUMENTS[dest])
             if "choices" in kwargs and default not in kwargs["choices"]:
@@ -342,7 +350,3 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0 if ok else 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

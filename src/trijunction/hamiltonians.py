@@ -18,6 +18,7 @@ evolve is the circuit they count.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -81,14 +82,19 @@ def trotter_slices(
     h_init: PauliSum, h_final: PauliSum, tau: float, substeps: int
 ) -> Iterator[tuple[PauliSum, float]]:
     """One protocol transition as S piecewise-constant slices of the linear
-    interpolation: (h_s, tau/S) with h_s at lam = s/S for s = 1..S."""
+    interpolation: (h_s, tau/S) with h_s at lam = s/S for s = 1..S.  The
+    Trotter angles are checked once, from the endpoint coefficients."""
     if tau <= 0:
         raise ValueError(f"step duration must be positive, got {tau}")
     if substeps < 1:
         raise ValueError(f"substeps must be >= 1, got {substeps}")
+    dt = tau / substeps
+    top = max((abs(c) for h in (h_init, h_final) for c, _ in h.terms), default=0.0) * dt
+    if not math.isfinite(top):
+        raise ValueError(f"the Trotter angle, gap x --tau / --trotter-steps, overflows to {top}")
     for s in range(1, substeps + 1):
         lam = s / substeps
-        yield (1.0 - lam) * h_init + lam * h_final, tau / substeps
+        yield (1.0 - lam) * h_init + lam * h_final, dt
 
 
 def trotter_rotations(

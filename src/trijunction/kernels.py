@@ -6,19 +6,20 @@ a computational basis state as a permutation plus phase,
     P |i> = w(i) |i XOR x>,   w(i) = i**(e + popcount(x & z)) * (-1)**popcount(i & z),
 
 so row i of P @ M is w(i ^ x) * M[i ^ x] for any M whose rows are indexed by
-basis states, and exp(-i*theta*P) @ M = cos(theta) M - i sin(theta) P @ M.  One
-vectorised numpy gather does this for a state vector and for a (2^Q, k) block of
-columns alike; the gathered copy is scaled in place and the result written
-over it, one temporary fewer than the two-term expression and equal to it bit
-for bit.  This is the hot inner loop of the simulator (exchange rotations and
-Trotter steps live here).  Basis convention: bit b of the index is qubit b,
-kets are written |q_{Q-1} ... q_1 q_0>.
+basis states, and exp(-i*theta*P) @ M = cos(theta) M - i sin(theta) P @ M.
+:func:`apply_rotation`, also bound as ``rotate_matrix``, does this for a state
+vector and a (2^Q, k) block of columns alike: one vectorised numpy gather,
+scaled in place and the result written over it, one temporary fewer than the
+two-term expression and equal to it bit for bit.  This is the hot inner loop
+of the simulator (exchange rotations and Trotter steps live here).  Bit b of
+the index is qubit b; kets are written |q_{Q-1} ... q_1 q_0>.
 
 A run repeats few strings: the three configurations map to 6n at n sites on
 either layout, a braid's exchanges to 3n + 3.  So :func:`string_action` builds
 each string's permutation i ^ x and phases w[i ^ x] once and keeps the 64 most
-recent, a whole Trotter run's up to n = 10, in at most 64 * 24 B * 2^Q (12.6 MB
-at 13 qubits); the dense builders in ``trijunction.pauli`` scatter the pair.
+recent; the dense builders in ``trijunction.pauli`` scatter the pair.  The
+14-qubit certificate stops every kernel path at n = 4, where a whole CLI run
+touches at most 28 strings (11 MB at 14 qubits), so the cache never evicts.
 """
 
 from __future__ import annotations
@@ -66,33 +67,21 @@ def apply_string_to_matrix(
     return out
 
 
-def _rotate(
-    M: np.ndarray, num_qubits: int, x: int, z: int, phase_exp: int, theta: float
-) -> np.ndarray:
-    """exp(-i*theta*P) @ M for a state vector or a (2^Q, k) block M, as a new
-    array: the gather P @ M is scaled in place and the result written over
-    it, bit for bit cos(theta) M - i sin(theta) P @ M."""
-    out = apply_string_to_matrix(M, num_qubits, x, z, phase_exp)
-    out *= 1j * math.sin(theta)
-    return np.subtract(math.cos(theta) * M, out, out=out)
-
-
 def active_backend() -> str:
     """Name of the kernel implementation; there is one, in numpy."""
     return "numpy"
 
 
 def apply_rotation(
-    psi: np.ndarray, num_qubits: int, x: int, z: int, phase_exp: int, theta: float
-) -> np.ndarray:
-    """Return exp(-i*theta*P) |psi> as a new complex128 array."""
-    return _rotate(
-        np.asarray(psi, dtype=np.complex128), num_qubits, x, z, phase_exp, theta
-    )
-
-
-def rotate_matrix(
     M: np.ndarray, num_qubits: int, x: int, z: int, phase_exp: int, theta: float
 ) -> np.ndarray:
-    """exp(-i*theta*P) @ M for a (2^Q, k) block M."""
-    return _rotate(M, num_qubits, x, z, phase_exp, theta)
+    """exp(-i*theta*P) @ M for a state vector or a (2^Q, k) block M, as a new
+    complex128 array, bit for bit cos(theta) M - i sin(theta) P @ M."""
+    M = np.asarray(M, dtype=np.complex128)
+    out = apply_string_to_matrix(M, num_qubits, x, z, phase_exp)
+    out *= 1j * math.sin(theta)
+    return np.subtract(math.cos(theta) * M, out, out=out)
+
+
+# The benchmark traces state and block rotations under separate names.
+rotate_matrix = apply_rotation

@@ -20,6 +20,9 @@ from hypothesis import example, given, settings, strategies as st
 import trijunction
 from trijunction import cli
 from trijunction.cli import main
+from trijunction.hamiltonians import TrijunctionParams, trijunction_h
+from trijunction.majorana import PROTOCOL_CONFIGS, build_sub_operators, conjugate_hamiltonian
+from trijunction.majorana import protocol_steps
 
 
 def run(capsys, *argv):
@@ -179,10 +182,10 @@ def test_bad_config_exits_two(capsys):
 OUTSIDE_THE_RULE = {
     "sites": ["0"],
     "steps": ["-1", "7"],
-    "tau": ["0", "nan"],
+    "tau": ["0", "nan", "-1e-5"],
     "trotter_steps": ["0"],
     "reps": ["0"],
-    **{gap: ["0", "inf"] for gap in ("delta", "alpha", "tcoupling")},
+    **{gap: ["0", "inf", "-inf"] for gap in ("delta", "alpha", "tcoupling")},
 }
 ON_THE_EDGE = {
     "sites": ["1"],
@@ -197,7 +200,8 @@ ON_THE_EDGE = {
 @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
 def test_each_flag_rejects_what_its_rule_forbids(capsys, command):
     # Parse only: argparse applies each flag's rule, exits 2 and names the
-    # flag; the edge values parse to themselves.
+    # flag; the edge values parse to themselves.  Both the --flag=value and
+    # the space-separated form reach the rule, negative exponent forms too.
     ruled = {dest for dest, kwargs in cli._ARGUMENTS.items() if "type" in kwargs}
     assert ruled == set(OUTSIDE_THE_RULE) | {"out"}
     parser = cli._build_parser()
@@ -212,14 +216,16 @@ def test_each_flag_rejects_what_its_rule_forbids(capsys, command):
     assert flags
     for dest, flag in flags.items():
         for value in OUTSIDE_THE_RULE[dest]:
-            with pytest.raises(SystemExit) as exc:
-                parser.parse_args([command, f"{flag}={value}"])
-            assert exc.value.code == 2
-            err = capsys.readouterr().err
-            assert f"argument {flag}: must be " in err, (flag, value)
+            for args in ([f"{flag}={value}"], [flag, value]):
+                with pytest.raises(SystemExit) as exc:
+                    parser.parse_args([command, *args])
+                assert exc.value.code == 2
+                err = capsys.readouterr().err
+                assert f"argument {flag}: must be " in err, args
         for value in ON_THE_EDGE[dest]:
-            parsed = getattr(parser.parse_args([command, f"{flag}={value}"]), dest)
-            assert parsed == type(parsed)(value)
+            for args in ([f"{flag}={value}"], [flag, value]):
+                parsed = getattr(parser.parse_args([command, *args]), dest)
+                assert parsed == type(parsed)(value)
     with pytest.raises(SystemExit):
         parser.parse_args([command, "--sites", "1.5"])
     assert "argument --sites: invalid int value: '1.5'" in capsys.readouterr().err
@@ -491,6 +497,20 @@ def test_an_overflowing_energy_fails_the_certificate(capsys):
     assert err == "error: ground pair energy -inf is not finite\n"
 
 
+@pytest.mark.parametrize("mapping", ["coupler", "continuous"])
+def test_an_overflowing_trotter_angle_exits_two(capsys, mapping):
+    # 1e300 passes the certificate, but 1e300 * tau / trotter-steps = 1e309
+    # overflows: the angle is rejected once per transition, before sin(inf) runs.
+    argv = ["adiabatic", "--sites", "2", "--mapping", mapping, "--delta", "1e300",
+            "--tau", "1e10"]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "error: the Trotter angle, gap x --tau / --trotter-steps, overflows to inf\n"
+    )
+
+
 LAYOUTS = [(n, mapping) for n in (1, 2, 3) for mapping in ("coupler", "continuous")]
 
 
@@ -603,6 +623,25 @@ def test_conjugation_cycle_closes_at_every_size(n):
     rows = cli._conjugation_cycle(n)
     assert [row["step"] for row in rows] == [1, 2, 3, 4, 5, 6]
     assert all(row["ok"] for row in rows)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize(
+    "delta, alpha, t",
+    [(1, 1, 1), (2, 2, 1), (-1, -1, 3), (2, 2, 0.3), (2, 1, 1), (0.5, 1, 1), (1, -1, 1)],
+)
+def test_own_gaps_close_the_cycle_exactly_when_delta_is_alpha(n, delta, alpha, t):
+    # ``verify`` conjugates the default-gap Hamiltonians.  The run's own H_ab
+    # closes on every step exactly when delta == alpha or n == 1: the
+    # exchanges carry a donor arm's delta bonds onto the trivial arm's alpha
+    # terms, and a single site has no bonds.
+    params = TrijunctionParams(n, delta, alpha, t)
+    h = {c: trijunction_h(c, params) for c in PROTOCOL_CONFIGS}
+    closes = [
+        conjugate_hamiltonian(h[a], build_sub_operators((a, b), n)) == h[b]
+        for a, b in protocol_steps()
+    ]
+    assert closes == [delta == alpha or n == 1] * 6
 
 
 BRAID_LINES = [

@@ -89,6 +89,21 @@ def test_schedule_rejects_bad_tau():
             compile_adiabatic(layout, params, tau, 1)
 
 
+def test_schedule_rejects_an_overflowing_angle():
+    """Both consumers reject a Trotter angle gap * tau / substeps that
+    overflows, and accept a finite one."""
+    params = TrijunctionParams(n=1, alpha=1e300)
+    layout = layout_for("continuous", 1)
+    h = map_hamiltonian(trijunction_h(Configuration(1, 2), params), layout)
+    psi = np.zeros(1 << layout.total_qubits, dtype=complex)
+    psi[0] = 1.0
+    with pytest.raises(ValueError, match="Trotter angle.*overflows to inf"):
+        trotter_adiabatic(psi, h, h, 1e10, 1)
+    with pytest.raises(ValueError, match="Trotter angle.*overflows to inf"):
+        compile_adiabatic(layout, params, 1e10, 1)
+    assert np.isfinite(trotter_adiabatic(psi, h, h, 1e8, 1)).all()
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("kind", ["coupler", "continuous"])
 def test_ground_level_is_degenerate_at_default_parameters(n, kind):

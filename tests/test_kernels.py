@@ -74,6 +74,22 @@ def test_matrix_rotation_matches_columnwise_state_rotation():
         )
 
 
+def test_block_rotation_is_the_state_rotation():
+    assert kernels.rotate_matrix is kernels.apply_rotation
+
+
+def test_real_block_rotates_like_its_complex_copy():
+    """A float64 (2^Q, k) block is cast to complex128 first, so it rotates
+    bit for bit like its complex copy."""
+    rng = np.random.default_rng(16)
+    num_qubits = 4
+    M = rng.normal(size=(1 << num_qubits, 3))
+    got = kernels.rotate_matrix(M, num_qubits, 9, 3, 1, 0.31)
+    want = kernels.rotate_matrix(M.astype(np.complex128), num_qubits, 9, 3, 1, 0.31)
+    assert got.dtype == np.complex128
+    assert np.array_equal(bit_pattern(got), bit_pattern(want))
+
+
 @pytest.mark.parametrize("rows", [8, 32])
 def test_matrix_rotation_rejects_wrong_row_count(rows):
     M = np.zeros((rows, 2), dtype=np.complex128)
