@@ -36,10 +36,12 @@ BRAID_FIDELITY_TOL = 1e-9
 _EXPECTED_DPHI = {0: 0.0, 3: math.pi / 2.0, 6: math.pi}
 
 # ``braid`` output is nearly all the 2^Q [re, im] pairs of ``final_state_plus``.
-# ``_emit`` renders them with the C encoder (``json.dumps`` with an indent runs
-# the pure-Python one) and splices them in over the value ``_SLOT``.  A quote
-# after ": " is never inside a string, so ``_SLOT_TEXT`` matches only a value
-# equal to ``_SLOT``, and no flag choice or result holds a NUL.
+# ``cmd_braid`` leaves the complex128 state there, and ``_emit`` renders it once
+# with ``_indented_state`` (``json.dumps`` with an indent runs the pure-Python
+# encoder, and a rounded list would convert each part to decimal twice) and
+# splices it in over the value ``_SLOT``.  A quote after ": " is never inside a
+# string, so ``_SLOT_TEXT`` matches only a value equal to ``_SLOT``, and no flag
+# choice or result holds a NUL.
 _PAIRS_KEY = "final_state_plus"
 _SLOT = "\x00"
 _SLOT_TEXT = f'"{_PAIRS_KEY}": {json.dumps(_SLOT)}'
@@ -189,7 +191,7 @@ def cmd_braid(config: argparse.Namespace) -> tuple[dict, bool]:
         )
         results["swap_ok"] = passed
         ok = passed
-    results[_PAIRS_KEY] = _complex_pairs(final_plus)
+    results[_PAIRS_KEY] = final_plus  # rendered by ``_emit``
     results["checks_passed"] = ok
     return results, ok
 
@@ -229,38 +231,51 @@ def cmd_resources(config: argparse.Namespace) -> tuple[list[dict], bool]:
     return rows, True
 
 
-def _indented_pairs(pairs: list, indent: str) -> str:
-    """``pairs`` exactly as ``json.dumps(..., indent=2)`` prints it as a
-    value whose key line starts with ``indent``.  Float reprs hold no
-    brackets or ", ", so every such sequence is structure."""
+def _is_json_text(text: str) -> bool:
+    """Whether ``format(x, ".12g")`` is already json's text of ``_f(x)``:
+    a finite float with a point or a negative exponent, and normal, so its
+    12 digits are the shortest repr.  Integral values need ".0", and repr is
+    positional below 1e16 where the format writes an "e+" exponent."""
+    mantissa, _, exponent = text.partition("e")
+    if exponent:
+        return exponent[0] == "-" and int(exponent) > -308
+    return "." in mantissa
+
+
+def _indented_state(v: np.ndarray, indent: str) -> str:
+    """``_complex_pairs(v)`` exactly as ``json.dumps(..., indent=2)`` prints
+    it as a value whose key line starts with ``indent``.  One ``%`` call
+    writes each part with 12 digits; a text that is not json's own takes
+    ``json.dumps(float(text))``, and ``float(text)`` is ``_f(x)``."""
+    parts = np.ascontiguousarray(v, dtype=np.complex128).view(np.float64).tolist()
+    if not parts:
+        return "[]"
+    texts = ("%.12g " * len(parts) % tuple(parts)).split()
+    odd = {t: json.dumps(float(t)) for t in set(texts) if not _is_json_text(t)}
+    texts = [odd.get(t, t) for t in texts]
     outer, inner = indent + "  ", indent + "    "
-    return (
-        json.dumps(pairs)
-        .replace("], [", f"\n{outer}],\n{outer}[\n{inner}")
-        .replace(", ", f",\n{inner}")
-        .replace("[[", f"[\n{outer}[\n{inner}")
-        .replace("]]", f"\n{outer}]\n{indent}]")
-    )
+    pairs = f"\n{outer}],\n{outer}[\n{inner}".join([f"%s,\n{inner}%s"] * (len(texts) // 2))
+    return f"[\n{outer}[\n{inner}{pairs}\n{outer}]\n{indent}]" % tuple(texts)
 
 
 def _emit(config: argparse.Namespace, payload, wall_time: float):
     """Write the payload as JSON or CSV to stdout or ``--out``.
 
     JSON is ``json.dumps(doc, indent=2, sort_keys=True)`` and a newline, byte
-    for byte; the braid state's pairs are spliced in by ``_indented_pairs``.
+    for byte; the braid state is rendered and spliced in by ``_indented_state``.
     """
     if config.format == "json":
         echo = {k: _f(v) if isinstance(v, float) else v for k, v in vars(config).items()}
         del echo["out"]
-        pairs = payload.get(_PAIRS_KEY) if isinstance(payload, dict) else None
+        state = payload.get(_PAIRS_KEY) if isinstance(payload, dict) else None
         doc = {
             "config": echo,
-            "results": payload if pairs is None else {**payload, _PAIRS_KEY: _SLOT},
+            "results": payload if state is None else {**payload, _PAIRS_KEY: _SLOT},
             "meta": {"wall_time_s": wall_time},
         }
         text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-        if pairs is not None:  # results sit at depth 2: their keys indent by 4
-            spliced = f'"{_PAIRS_KEY}": ' + _indented_pairs(pairs, "    ")
+        if state is not None:  # results sit at depth 2: their keys indent by 4
+            spliced = f'"{_PAIRS_KEY}": ' + _indented_state(state, "    ")
             text = text.replace(_SLOT_TEXT, spliced, 1)
     else:
         rows = payload  # resources: one row per report

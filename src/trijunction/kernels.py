@@ -77,6 +77,8 @@ def apply_rotation(
 ) -> np.ndarray:
     """exp(-i*theta*P) @ M for a state vector or a (2^Q, k) block M, as a new
     complex128 array, bit for bit cos(theta) M - i sin(theta) P @ M."""
+    if not math.isfinite(theta):
+        raise ValueError(f"rotation angle {theta!r} is not finite")
     M = np.asarray(M, dtype=np.complex128)
     out = apply_string_to_matrix(M, num_qubits, x, z, phase_exp)
     out *= 1j * math.sin(theta)

@@ -153,6 +153,15 @@ def _project(v: np.ndarray, stabilizers: list[tuple[float, PauliString]]) -> np.
     return v
 
 
+def _hermitian_product(H: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """H @ v for a Hermitian H, as (v^dagger H)^dagger: it reads only the rows
+    of H on v's support.  Two products keep real rows real."""
+    nz = np.flatnonzero(v)
+    rows, w = H[nz], v[nz].conj()
+    wH = w @ rows if np.iscomplexobj(H) else w.real @ rows + 1j * (w.imag @ rows)
+    return wH.conj()
+
+
 def ground_space(
     h: PauliSum,
     parity: tuple[float, PauliString],
@@ -176,7 +185,8 @@ def ground_space(
     applied to a fixed vector of distinct phases finds the state's first
     basis index i; applied to |i> it gives exact dyadic amplitudes with
     <i|g> > 0.  The dense matrix serves only to certify ||Hg - Eg|| for g in
-    column 0.
+    column 0, through the rows of H on g's support: every term is a
+    real-weighted Hermitian string, so H = H^dagger.
     """
     for k, (_, s) in enumerate(h.terms):
         for _, t in h.terms[k + 1 :]:
@@ -213,9 +223,8 @@ def ground_space(
     g1 /= math.sqrt(g1[i].real)  # <i|g1> = ||g1||^2, and i is g1's first nonzero index
     g2 = kernels.apply_string_to_matrix(g1, nq, flip.x, flip.z, flip.phase_exp)
     G = np.stack([g1, _fix_phase(g2)], axis=1)
-    # Column 1, the flip times column 0, has the same residual.  Two products
-    # keep a real H real; matrix-vector ones touch no BLAS gemm buffers.
-    Hg = H @ g1 if np.iscomplexobj(H) else H @ g1.real + 1j * (H @ g1.imag)
+    # Column 1, the flip times column 0, has the same residual.
+    Hg = _hermitian_product(H, g1)
     # In units of the largest |c| the norm cannot overflow; NaN or inf fails.
     scale = max((abs(c) for c, _ in h.terms), default=1.0)
     residual = float(np.linalg.norm((Hg - energy * g1) / scale))

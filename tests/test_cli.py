@@ -659,43 +659,62 @@ BRAID_LINES = [
 
 @pytest.mark.parametrize("argv", BRAID_LINES, ids=" ".join)
 def test_braid_output_is_the_indented_dump_of_its_document(capsys, monkeypatch, argv):
-    # The spliced pair list must reproduce json.dumps(indent=2) byte for byte.
+    # The rendered state must reproduce json.dumps(indent=2) of its rounded
+    # pairs byte for byte.
     payloads = []
     emit = cli._emit
     monkeypatch.setattr(cli, "_emit", lambda c, p, t: (payloads.append(p), emit(c, p, t)))
     code, out, _ = run(capsys, "braid", *argv)
     assert code == 0
     doc = json.loads(out)
-    doc["results"] = payloads[0]
+    state = payloads[0]["final_state_plus"]
+    doc["results"] = {**payloads[0], "final_state_plus": cli._complex_pairs(state)}
     assert out == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+# Each part whose 12-digit text is not json's own: integral after rounding
+# (zeros, +-0.99999999999996, 123456789012.4), in [1e12, 1e16) after rounding
+# (9.999999999995e11 rounds up into it), subnormal, or not finite; and parts
+# on either side of those rules (negative exponents, the smallest normals).
 SPECIAL_FLOATS = st.sampled_from(
-    [-0.0, 0.0, 5e-324, -5e-324, 1e300, -1e-300, 1e-300, 2.0, -7.0, 1e16,
-     math.inf, -math.inf, math.nan]
+    [-0.0, 0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072e-308, 2.2250738585072014e-308,
+     2.5e-308, -1e-307, 1e300, -1e-300, 1e-300, 1.5e-7, -1e-5, 2.0, -7.0,
+     0.99999999999996, -0.99999999999996, 123456789012.4, 9.999999999995e11,
+     -1.5e13, 999999999999999.9, 1e16, math.inf, -math.inf, math.nan]
 )
 PAIRS = st.lists(st.lists(st.floats() | SPECIAL_FLOATS, min_size=2, max_size=2), max_size=6)
+
+
+def state_of(pairs):
+    return np.array([complex(re, im) for re, im in pairs], dtype=np.complex128)
 
 
 @settings(max_examples=300, deadline=None)
 @given(pairs=PAIRS)
 def test_spliced_pairs_match_the_indented_dump(pairs):
     config = argparse.Namespace(command="braid", sites=1, format="json", out=None)
-    payload = {"checks_passed": True, "final_state_plus": pairs, "steps": 6}
+    payload = {"checks_passed": True, "final_state_plus": state_of(pairs), "steps": 6}
     buffer = io.StringIO()
     with contextlib.redirect_stdout(buffer):
         cli._emit(config, payload, 0.25)
     doc = {
         "config": {"command": "braid", "format": "json", "sites": 1},
-        "results": payload,
+        "results": {**payload, "final_state_plus": cli._complex_pairs(state_of(pairs))},
         "meta": {"wall_time_s": 0.25},
     }
     assert buffer.getvalue() == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+@settings(max_examples=300, deadline=None)
+@given(pairs=PAIRS)
+def test_rendered_state_is_the_dump_of_its_rounded_pairs(pairs):
+    v = state_of(pairs)
+    assert cli._indented_state(v, "") == json.dumps(cli._complex_pairs(v), indent=2)
+
+
 @settings(max_examples=200, deadline=None)
 @given(pairs=PAIRS)
 def test_complex_pairs_round_each_part_like_f(pairs):
-    v = np.array([complex(re, im) for re, im in pairs], dtype=np.complex128)
+    v = state_of(pairs)
     expected = [[cli._f(z.real), cli._f(z.imag)] for z in v]
     assert repr(cli._complex_pairs(v)) == repr(expected)

@@ -106,6 +106,15 @@ def test_string_action_rejects_wrong_row_count(rows):
         kernels.apply_string_to_matrix(M, 4, 9, 3, 0)
 
 
+@pytest.mark.parametrize("theta", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("shape", [(16,), (16, 2)])
+def test_rotation_rejects_a_non_finite_angle(theta, shape):
+    # A NaN angle would give an all-NaN state, and inf a math domain error.
+    M = np.ones(shape, dtype=np.complex128)
+    with pytest.raises(ValueError, match=f"rotation angle {theta!r} is not finite"):
+        kernels.apply_rotation(M, 4, 9, 3, 0, theta)
+
+
 def uncached_rotation(M, num_qubits, x, z, phase_exp, theta):
     """exp(-i*theta*P) @ M with the string's action rebuilt on every call,
     in the kernel's own arithmetic, so the results must agree to the bit."""

@@ -415,6 +415,52 @@ def test_ground_space_is_certified_by_the_dense_matrix(monkeypatch):
         trijunction_ground_space(CONFIG_12, TrijunctionParams(n=1), layout)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("kind", ["coupler", "continuous"])
+def test_support_rows_give_the_dense_residual(kind, n):
+    """The certificate reads H only on g's support rows; its residual is the
+    full product's, within 1e-15 sum |c|, on real and complex matrices."""
+    layout = layout_for(kind, n)
+    params = TrijunctionParams(n=n)
+    h = map_hamiltonian(trijunction_h(CONFIG_12, params), layout)
+    gs = trijunction_ground_space(CONFIG_12, params, layout)
+    H, g, energy = h.to_matrix(), gs.basis[:, 0], gs.energies[0]
+    assert np.count_nonzero(g) < g.size
+    rows = simulator._hermitian_product(H, g)
+    full = H @ g
+    total = sum(abs(c) for c, _ in h.terms)
+    assert np.max(np.abs(rows - full)) <= 1e-15 * total
+    residuals = [np.linalg.norm(Hg - energy * g) for Hg in (rows, full)]
+    assert abs(residuals[0] - residuals[1]) <= 1e-15 * total
+
+
+@pytest.mark.parametrize("kind", ["coupler", "continuous"])
+@pytest.mark.parametrize("where", ["diagonal", "off-support column"])
+def test_a_hermitian_change_on_a_support_row_fails_the_certificate(monkeypatch, kind, where):
+    """Changing H[k, j] and H[j, k] together, for k on g's support, moves
+    (Hg)_j or (Hg)_k: the rows of the support see a change that only row j
+    of the full product reads."""
+    layout = layout_for(kind, 2)
+    params = TrijunctionParams(n=2)
+    g = trijunction_ground_space(CONFIG_12, params, layout).basis[:, 0]
+    support = np.flatnonzero(g)
+    k = int(support[1])
+    j = k if where == "diagonal" else int(np.flatnonzero(g == 0)[0])
+    change = 1e-3 if kind == "coupler" or j == k else 1e-3j
+    to_matrix = PauliSum.to_matrix
+
+    def perturbed(h):
+        H = to_matrix(h).copy()
+        H[k, j] += change
+        if j != k:
+            H[j, k] += np.conj(change)
+        return H
+
+    monkeypatch.setattr(PauliSum, "to_matrix", perturbed)
+    with pytest.raises(RuntimeError, match="residual .* is not certified"):
+        trijunction_ground_space(CONFIG_12, params, layout)
+
+
 def test_ground_space_certificate_is_scale_free():
     """The residual is measured in units of the largest |c|: its rounding
     error at 1e300 does not overflow the norm, and it needs no term."""
@@ -591,6 +637,16 @@ def test_trotter_step_respects_reps():
     np.testing.assert_allclose(two_reps, chained, atol=1e-12)
     with pytest.raises(ValueError):
         trotter_step(psi, h, 0.1, reps=0)
+
+
+@pytest.mark.parametrize("dt", [np.inf, -np.inf, np.nan])
+def test_trotter_step_rejects_a_non_finite_duration(dt):
+    layout = layout_for("continuous", 1)
+    h = map_hamiltonian(trijunction_h(CONFIG_12, TrijunctionParams(n=1)), layout)
+    psi = np.zeros(1 << layout.total_qubits, dtype=complex)
+    psi[0] = 1.0
+    with pytest.raises(ValueError, match="rotation angle .* is not finite"):
+        trotter_step(psi, h, dt)
 
 
 def test_run_adiabatic_vanishing_tau_keeps_the_state():
