@@ -62,8 +62,12 @@ def apply_string_to_matrix(
     if M.shape[0] != (1 << num_qubits):
         raise ValueError(f"{M.shape[0]} rows do not match {num_qubits} qubits")
     perm, wp = string_action(num_qubits, x, z, phase_exp)
-    out = M[perm]
-    out *= wp if M.ndim == 1 else wp[:, None]
+    if M.ndim == 1:
+        out = M[perm]
+        out *= wp
+    else:
+        out = np.take(M, perm, axis=0)  # a block row gather; M[perm] is slower
+        out *= wp[:, None]
     return out
 
 

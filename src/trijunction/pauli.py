@@ -251,17 +251,24 @@ class PauliSum:
 
     __rmul__ = __mul__
 
-    def to_matrix(self) -> np.ndarray:
-        """Dense matrix, real exactly when every string has an even Y count."""
+    def to_matrix(self, rows: np.ndarray | None = None) -> np.ndarray:
+        """Dense matrix, real exactly when every string has an even Y count.
+
+        With ``rows`` (basis indices, in any order, repeats allowed) only
+        those rows are built, as a (len(rows), 2^Q) array; each entry is
+        summed from the same terms in the same order as in the full matrix,
+        so it equals ``to_matrix()[rows]`` bit for bit.
+        """
         if self.num_qubits > DENSE_QUBIT_LIMIT:
             raise ValueError(f"dense realisation limited to {DENSE_QUBIT_LIMIT} qubits")
         dim = 1 << self.num_qubits
+        rows = np.arange(dim) if rows is None else np.asarray(rows, dtype=np.intp)
         real = all((s.x & s.z).bit_count() % 2 == 0 for _, s in self.terms)
-        M = np.zeros((dim, dim), dtype=np.float64 if real else np.complex128)
-        rows = np.arange(dim)
+        M = np.zeros((rows.size, dim), dtype=np.float64 if real else np.complex128)
+        out = np.arange(rows.size)
         for coeff, string in self.terms:
             perm, wp = string_action(self.num_qubits, string.x, string.z, 0)
-            M[rows, perm] += coeff * (wp.real if real else wp)
+            M[out, perm[rows]] += coeff * (wp[rows].real if real else wp[rows])
         return M
 
     def __repr__(self) -> str:

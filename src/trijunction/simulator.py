@@ -8,9 +8,10 @@ every term of a trijunction Hamiltonian pairs two Majorana modes that no
 other term touches, so the mapped strings commute and the parity +1 (and
 gauge +1) ground state is the image of commuting projectors, built with the
 same kernel in O(terms * 2^Q); the unpaired Majorana mode maps it to its
-partner.  The dense matrix (up to ``DENSE_QUBIT_LIMIT`` qubits, real
-whenever H is) only certifies the pair, and only the exact-evolution oracle
-diagonalises it.
+partner.  The pair is certified by the rows of the dense matrix on the
+support of column 0 (up to ``DENSE_QUBIT_LIMIT`` qubits, real whenever H
+is), built straight from the terms: 32 rows of 1,024 at coupler n = 3.
+Only the exact-evolution oracle builds the whole matrix, to diagonalise it.
 
 A braid is projected through its action on the two ground columns: the
 exchange rotations are applied to the 2^Q x 2 ground basis G and the 2 x 2
@@ -153,12 +154,13 @@ def _project(v: np.ndarray, stabilizers: list[tuple[float, PauliString]]) -> np.
     return v
 
 
-def _hermitian_product(H: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """H @ v for a Hermitian H, as (v^dagger H)^dagger: it reads only the rows
-    of H on v's support.  Two products keep real rows real."""
+def _hermitian_product(h: PauliSum, v: np.ndarray) -> np.ndarray:
+    """H @ v for the Hermitian matrix H of ``h``, as (v^dagger H)^dagger: only
+    the rows of H on v's support are built.  Two products keep real rows
+    real."""
     nz = np.flatnonzero(v)
-    rows, w = H[nz], v[nz].conj()
-    wH = w @ rows if np.iscomplexobj(H) else w.real @ rows + 1j * (w.imag @ rows)
+    rows, w = h.to_matrix(nz), v[nz].conj()
+    wH = w @ rows if np.iscomplexobj(rows) else w.real @ rows + 1j * (w.imag @ rows)
     return wH.conj()
 
 
@@ -185,8 +187,10 @@ def ground_space(
     applied to a fixed vector of distinct phases finds the state's first
     basis index i; applied to |i> it gives exact dyadic amplitudes with
     <i|g> > 0.  The dense matrix serves only to certify ||Hg - Eg|| for g in
-    column 0, through the rows of H on g's support: every term is a
-    real-weighted Hermitian string, so H = H^dagger.
+    column 0, and only its rows on g's support are built: every term is a
+    real-weighted Hermitian string, so H = H^dagger and Hg = (g^dagger H)^dagger.
+    Above ``DENSE_QUBIT_LIMIT`` qubits it raises ``ValueError`` before any
+    2^Q array is made.
     """
     for k, (_, s) in enumerate(h.terms):
         for _, t in h.terms[k + 1 :]:
@@ -207,8 +211,9 @@ def ground_space(
     energy = sum(c if s.is_identity else -abs(c) for c, s in h.terms)
     if not math.isfinite(energy):
         raise RuntimeError(f"ground pair energy {energy:.3g} is not finite")
-    H = h.to_matrix()
     nq = h.num_qubits
+    if nq > DENSE_QUBIT_LIMIT:
+        raise ValueError(f"dense realisation limited to {DENSE_QUBIT_LIMIT} qubits")
     stabilizers = [(-math.copysign(1.0, c), s) for c, s in h.terms if not s.is_identity]
     stabilizers += symmetries
     if (rank := _gf2_rank([s.x << nq | s.z for _, s in stabilizers])) < nq:
@@ -224,7 +229,7 @@ def ground_space(
     g2 = kernels.apply_string_to_matrix(g1, nq, flip.x, flip.z, flip.phase_exp)
     G = np.stack([g1, _fix_phase(g2)], axis=1)
     # Column 1, the flip times column 0, has the same residual.
-    Hg = _hermitian_product(H, g1)
+    Hg = _hermitian_product(h, g1)
     # In units of the largest |c| the norm cannot overflow; NaN or inf fails.
     scale = max((abs(c) for c, _ in h.terms), default=1.0)
     residual = float(np.linalg.norm((Hg - energy * g1) / scale))

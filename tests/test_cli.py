@@ -436,6 +436,32 @@ def test_module_entry_point(argv, code):
         assert "--sites" in done.stderr
 
 
+# Runs argv and prints its exit code and peak resident set (kB on Linux).
+# A child's ru_maxrss counts the resident set of the process that spawned
+# it, which for pytest itself is above 60 MB, so a bare interpreter spawns.
+PEAK_RSS = """
+import os, subprocess, sys
+proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)
+_, status, usage = os.wait4(proc.pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+@pytest.mark.parametrize("command", ["verify", "braid"])
+def test_sites_4_peaks_under_60_mb(command):
+    # The certificate builds only the rows of H on the ground column's
+    # support, not the 537 MB dense matrix of 13 qubits.
+    env = dict(os.environ, PYTHONPATH=str(Path(trijunction.__file__).parents[1]))
+    argv = [sys.executable, "-m", "trijunction", command, "--sites", "4"]
+    done = subprocess.run(
+        [sys.executable, "-c", PEAK_RSS, *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    code, peak_kb = map(int, done.stdout.split())
+    assert code == 0, done.stderr
+    assert peak_kb < 60 * 1024
+
+
 def test_package_import_loads_no_submodule():
     # The package namespace holds only ``__version__``; every other name is
     # imported from its own module.
@@ -669,7 +695,12 @@ def test_braid_output_is_the_indented_dump_of_its_document(capsys, monkeypatch, 
     doc = json.loads(out)
     state = payloads[0]["final_state_plus"]
     doc["results"] = {**payloads[0], "final_state_plus": cli._complex_pairs(state)}
-    assert out == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    want = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    # Length and first differing offset first: a bare == on up to 460 kB
+    # makes pytest diff the two texts with difflib for minutes.
+    same = len(os.path.commonprefix([out, want]))
+    assert (len(out), same) == (len(want), len(want)), out[max(same - 60, 0) : same + 60]
+    assert out == want
 
 
 # Each part whose 12-digit text is not json's own: integral after rounding

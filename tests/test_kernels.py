@@ -220,6 +220,25 @@ def test_fused_rotation_is_bitwise_the_two_term_formula(phase_exp, cols):
             assert np.array_equal(bit_pattern(M), bit_pattern(keep))
 
 
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("cols", [1, 2, 5])
+def test_block_rotation_is_its_columns_state_rotations_bit_for_bit(order, cols):
+    """A block is gathered with ``np.take`` and a vector by indexing; every
+    column of a rotated block, in either memory order, is the rotation of
+    that column as a vector, to the bit and signed zeros included."""
+    rng = np.random.default_rng(500 + cols)
+    for num_qubits in (1, 4, 10):
+        dim = 1 << num_qubits
+        M = np.asarray(zero_rich(rng, (dim, cols)), order=order)
+        for phase_exp in range(4):
+            x, z = int(rng.integers(0, dim)), int(rng.integers(0, dim))
+            got = kernels.rotate_matrix(M, num_qubits, x, z, phase_exp, 0.37)
+            assert got.shape == (dim, cols)
+            for col in range(cols):
+                want = kernels.apply_rotation(M[:, col], num_qubits, x, z, phase_exp, 0.37)
+                assert np.array_equal(bit_pattern(got[:, col]), bit_pattern(want))
+
+
 @pytest.mark.parametrize("num_qubits", [1, 2, 5, 9, 12])
 def test_string_action_is_the_encoded_permutation_and_phases(num_qubits):
     """Index by index against the ``pauli`` encoding, P|j> = w(j)|j ^ x>:

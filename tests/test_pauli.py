@@ -234,6 +234,38 @@ def test_pauli_sum_matrix_is_real_exactly_for_even_y_counts(labels, dtype):
     np.testing.assert_array_equal(M, sum(c * to_matrix(s) for c, s in pairs))
 
 
+@pytest.mark.parametrize("num_qubits", range(1, 11))
+@pytest.mark.parametrize("real", [True, False])
+def test_selected_rows_are_the_full_matrix_rows_bit_for_bit(num_qubits, real):
+    """``to_matrix(rows)`` sums each entry from the same terms in the same
+    order, so it is ``to_matrix()[rows]`` exactly, dtype included, for rows
+    sorted, unsorted, repeated or none.  Strings share three X masks, so
+    most entries sum several terms."""
+    rng = np.random.default_rng(num_qubits)
+    dim = 1 << num_qubits
+    masks = rng.integers(0, dim, size=3)
+    strings = [
+        PauliString(num_qubits, int(x), int(rng.integers(0, dim)))
+        for x in rng.choice(masks, size=4 * num_qubits)
+    ]
+    strings = [s for s in strings if (s.x & s.z).bit_count() % 2 == 0]
+    if not real:
+        strings.append(PauliString(num_qubits, 1, 1))  # one Y: complex
+    h = PauliSum(num_qubits, [(float(rng.normal()), s) for s in strings])
+    full = h.to_matrix()
+    assert full.dtype == (np.float64 if real else np.complex128)
+    for rows in (
+        np.sort(rng.choice(dim, size=min(dim, 5), replace=False)),
+        rng.permutation(dim)[:7],
+        [dim - 1, 0, dim - 1, 0, 0],
+        np.array([], dtype=int),
+        np.arange(dim),
+    ):
+        part = h.to_matrix(rows)
+        assert part.dtype == full.dtype
+        assert np.array_equal(part, full[rows])
+
+
 def test_pauli_sum_scalar_and_addition():
     z = PauliString.from_label("ZI")
     x = PauliString.from_label("IX")

@@ -153,6 +153,19 @@ def test_ground_space_dense_limit():
         ground_space(h, (1.0, PauliString(15, z=1)), PauliString(15, x=1))
 
 
+def test_ground_space_dense_limit_comes_before_any_projection(monkeypatch):
+    """At 15 qubits, with strings that fix one state (GF(2) rank 15), the
+    ceiling raises before the first 2^Q vector is projected."""
+
+    def fail(*args):
+        raise AssertionError("projected above the dense limit")
+
+    monkeypatch.setattr(simulator, "_project", fail)
+    h = PauliSum(15, [(1.0, PauliString(15, z=1 << q)) for q in range(1, 15)])
+    with pytest.raises(ValueError, match="limited to 14 qubits"):
+        ground_space(h, (1.0, PauliString(15, z=1)), PauliString(15, x=1))
+
+
 def test_prepare_initial_superpositions():
     layout = coupler_layout(1)
     gs = trijunction_ground_space(CONFIG_12, TrijunctionParams(n=1), layout)
@@ -410,7 +423,7 @@ def test_ground_space_is_certified_by_the_dense_matrix(monkeypatch):
     """The dense matrix is an independent check: a wrong one is caught."""
     layout = coupler_layout(1)
     to_matrix = PauliSum.to_matrix
-    monkeypatch.setattr(PauliSum, "to_matrix", lambda h: 1.01 * to_matrix(h))
+    monkeypatch.setattr(PauliSum, "to_matrix", lambda h, rows: (1.01 * to_matrix(h))[rows])
     with pytest.raises(RuntimeError, match="residual .* is not certified"):
         trijunction_ground_space(CONFIG_12, TrijunctionParams(n=1), layout)
 
@@ -426,7 +439,7 @@ def test_support_rows_give_the_dense_residual(kind, n):
     gs = trijunction_ground_space(CONFIG_12, params, layout)
     H, g, energy = h.to_matrix(), gs.basis[:, 0], gs.energies[0]
     assert np.count_nonzero(g) < g.size
-    rows = simulator._hermitian_product(H, g)
+    rows = simulator._hermitian_product(h, g)
     full = H @ g
     total = sum(abs(c) for c, _ in h.terms)
     assert np.max(np.abs(rows - full)) <= 1e-15 * total
@@ -449,16 +462,36 @@ def test_a_hermitian_change_on_a_support_row_fails_the_certificate(monkeypatch, 
     change = 1e-3 if kind == "coupler" or j == k else 1e-3j
     to_matrix = PauliSum.to_matrix
 
-    def perturbed(h):
+    def perturbed(h, rows):
         H = to_matrix(h).copy()
         H[k, j] += change
         if j != k:
             H[j, k] += np.conj(change)
-        return H
+        return H[rows]
 
     monkeypatch.setattr(PauliSum, "to_matrix", perturbed)
     with pytest.raises(RuntimeError, match="residual .* is not certified"):
         trijunction_ground_space(CONFIG_12, params, layout)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("kind", ["coupler", "continuous"])
+def test_ground_space_builds_only_the_support_rows(monkeypatch, kind, n):
+    """One ``to_matrix`` call per ground space, for exactly the rows on which
+    column 0 is nonzero; the whole 2^Q x 2^Q matrix is never filled."""
+    built = []
+    to_matrix = PauliSum.to_matrix
+
+    def recording(h, rows=None):
+        built.append(rows)
+        return to_matrix(h, rows)
+
+    monkeypatch.setattr(PauliSum, "to_matrix", recording)
+    layout = layout_for(kind, n)
+    g = trijunction_ground_space(CONFIG_12, TrijunctionParams(n=n), layout).basis[:, 0]
+    [rows] = built
+    np.testing.assert_array_equal(rows, np.flatnonzero(g))
+    assert len(rows) == np.count_nonzero(g) < g.size
 
 
 def test_ground_space_certificate_is_scale_free():
