@@ -448,9 +448,11 @@ print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
 
 
 @pytest.mark.parametrize("command", ["verify", "braid"])
-def test_sites_4_peaks_under_60_mb(command):
+def test_sites_4_peaks_under_200_mb(command):
     # The certificate builds only the rows of H on the ground column's
-    # support, not the 537 MB dense matrix of 13 qubits.
+    # support, not the 537 MB dense matrix of 13 qubits: the run peaks near
+    # 40 MB, most of it the interpreter and numpy, and at 553 MB with the
+    # dense fill. The bound sits between the two, clear of build variation.
     env = dict(os.environ, PYTHONPATH=str(Path(trijunction.__file__).parents[1]))
     argv = [sys.executable, "-m", "trijunction", command, "--sites", "4"]
     done = subprocess.run(
@@ -459,7 +461,7 @@ def test_sites_4_peaks_under_60_mb(command):
     )
     code, peak_kb = map(int, done.stdout.split())
     assert code == 0, done.stderr
-    assert peak_kb < 60 * 1024
+    assert peak_kb < 200 * 1024
 
 
 def test_package_import_loads_no_submodule():

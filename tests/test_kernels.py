@@ -199,10 +199,11 @@ def zero_rich(rng, shape):
 
 
 @pytest.mark.parametrize("phase_exp", range(4))
-@pytest.mark.parametrize("cols", [None, 1, 3])
+@pytest.mark.parametrize("cols", [None, 1, 2, 3, 5])
 def test_fused_rotation_is_bitwise_the_two_term_formula(phase_exp, cols):
     """The in-place kernel gives cos(theta) M - i sin(theta) (P @ M) to the
-    bit, signed zeros included, and leaves its input as it was."""
+    bit, signed zeros included, for C- and F-ordered blocks alike, and leaves
+    its input as it was."""
     rng = np.random.default_rng(400 + 10 * phase_exp + (cols or 0))
     for num_qubits in (1, 3, 6):
         dim = 1 << num_qubits
@@ -210,33 +211,15 @@ def test_fused_rotation_is_bitwise_the_two_term_formula(phase_exp, cols):
         for theta in (0.0, -0.0, 0.37, -1.2, math.pi / 2, -math.pi / 2, math.pi):
             x = int(rng.integers(0, dim))
             z = int(rng.integers(0, dim))
-            M = zero_rich(rng, shape)
-            keep = M.copy()
-            rotate = kernels.apply_rotation if cols is None else kernels.rotate_matrix
-            got = rotate(M, num_qubits, x, z, phase_exp, theta)
-            want = uncached_rotation(M, num_qubits, x, z, phase_exp, theta)
-            assert got.shape == shape
-            assert np.array_equal(bit_pattern(got), bit_pattern(want))
-            assert np.array_equal(bit_pattern(M), bit_pattern(keep))
-
-
-@pytest.mark.parametrize("order", ["C", "F"])
-@pytest.mark.parametrize("cols", [1, 2, 5])
-def test_block_rotation_is_its_columns_state_rotations_bit_for_bit(order, cols):
-    """A block is gathered with ``np.take`` and a vector by indexing; every
-    column of a rotated block, in either memory order, is the rotation of
-    that column as a vector, to the bit and signed zeros included."""
-    rng = np.random.default_rng(500 + cols)
-    for num_qubits in (1, 4, 10):
-        dim = 1 << num_qubits
-        M = np.asarray(zero_rich(rng, (dim, cols)), order=order)
-        for phase_exp in range(4):
-            x, z = int(rng.integers(0, dim)), int(rng.integers(0, dim))
-            got = kernels.rotate_matrix(M, num_qubits, x, z, phase_exp, 0.37)
-            assert got.shape == (dim, cols)
-            for col in range(cols):
-                want = kernels.apply_rotation(M[:, col], num_qubits, x, z, phase_exp, 0.37)
-                assert np.array_equal(bit_pattern(got[:, col]), bit_pattern(want))
+            drawn = zero_rich(rng, shape)
+            for M in (drawn, np.asfortranarray(drawn)):
+                keep = M.copy()
+                rotate = kernels.apply_rotation if cols is None else kernels.rotate_matrix
+                got = rotate(M, num_qubits, x, z, phase_exp, theta)
+                want = uncached_rotation(M, num_qubits, x, z, phase_exp, theta)
+                assert got.shape == shape
+                assert np.array_equal(bit_pattern(got), bit_pattern(want))
+                assert np.array_equal(bit_pattern(M), bit_pattern(keep))
 
 
 @pytest.mark.parametrize("num_qubits", [1, 2, 5, 9, 12])
